@@ -1,6 +1,6 @@
 # Development entry points.  `make check` is the tier-1 gate.
 
-.PHONY: check build test bench bench-json bench-compare lint lint-quick lint-deep prof clean
+.PHONY: check build test bench bench-json bench-compare lint lint-quick lint-deep prof loc clean
 
 check:
 	dune build && dune runtest && $(MAKE) lint
@@ -53,6 +53,14 @@ prof:
 	dune build bin/insp_cli.exe
 	mkdir -p _build/prof
 	dune exec bin/insp_cli.exe -- solve --scale -n 10000 -H comp --seed 1 --profile _build/prof/prof
+
+# Source size of lib, bin and bench (.ml + .mli lines), the yardstick
+# for changes that aim to keep the same behaviour with less code.
+loc:
+	@for d in lib bin bench; do \
+	  printf '%-6s %6d\n' $$d $$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	done
+	@printf '%-6s %6d\n' total $$(find lib bin bench -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)
 
 clean:
 	dune clean

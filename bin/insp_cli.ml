@@ -6,13 +6,34 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Shared options                                                      *)
 
+(* Out-of-range values are rejected where the arguments are parsed, so
+   they exit with cmdliner's CLI-error code (124) instead of reaching a
+   library [Invalid_argument]. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive, finite float, got %S" s))
+  in
+  Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%g" f)
+
 let n_operators =
   let doc = "Number of operators in the random tree." in
-  Arg.(value & opt int 60 & info [ "n"; "operators" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 60 & info [ "n"; "operators" ] ~docv:"N" ~doc)
 
 let alpha =
   let doc = "Computation factor alpha (w = base + factor*(dl+dr)^alpha)." in
-  Arg.(value & opt float 0.9 & info [ "a"; "alpha" ] ~docv:"ALPHA" ~doc)
+  Arg.(value & opt positive_float 0.9 & info [ "a"; "alpha" ] ~docv:"ALPHA" ~doc)
 
 let seed =
   let doc = "Random seed (instance and randomized heuristics)." in
@@ -65,12 +86,15 @@ let make_instance n alpha sizes freq seed =
 let trace_arg =
   let doc =
     "Write the run's span tree as Chrome trace_event JSON (open in \
-     chrome://tracing or ui.perfetto.dev)."
+     chrome://tracing or ui.perfetto.dev); $(b,-) writes to stdout."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let metrics_arg =
-  let doc = "Write the run's counters, gauges and histograms as CSV." in
+  let doc =
+    "Write the run's counters, gauges and histograms as CSV; $(b,-) \
+     writes to stdout."
+  in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let profile_arg =
@@ -104,6 +128,27 @@ let write_prof base recorder =
     "wrote allocation profile to %s.{report,csv,alloc.folded,time.folded}@."
     base
 
+(* The --trace and --metrics exports; the path [-] is stdout. *)
+let write_exports ~trace ~metrics recorder =
+  let write what path contents =
+    if path = "-" then begin
+      Format.print_flush ();
+      print_string contents;
+      flush stdout
+    end
+    else begin
+      Insp.Obs_export.save path contents;
+      Format.printf "wrote %s to %s@." what path
+    end
+  in
+  Option.iter
+    (fun path ->
+      write "Chrome trace" path (Insp.Obs_export.chrome_trace recorder))
+    trace;
+  Option.iter
+    (fun path -> write "metrics CSV" path (Insp.Obs_export.metrics_csv recorder))
+    metrics
+
 (* Run [f] under a fresh observability sink when an export was requested;
    otherwise the engines' instrumentation stays a no-op. *)
 let with_obs ~trace ~metrics ?(profile = None) f =
@@ -112,16 +157,7 @@ let with_obs ~trace ~metrics ?(profile = None) f =
     let code, recorder =
       Insp.Obs.with_sink ~profile:(profile <> None) f
     in
-    Option.iter
-      (fun path ->
-        Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-        Format.printf "wrote Chrome trace to %s@." path)
-      trace;
-    Option.iter
-      (fun path ->
-        Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-        Format.printf "wrote metrics CSV to %s@." path)
-      metrics;
+    write_exports ~trace ~metrics recorder;
     Option.iter (fun base -> write_prof base recorder) profile;
     code
   end
@@ -519,7 +555,7 @@ let exact_cmd =
 let multi_cmd =
   let n_apps =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "apps" ] ~docv:"Q" ~doc:"Number of concurrent applications.")
   in
   let run n seed n_apps =
@@ -653,7 +689,9 @@ let serve_cmd =
       & info [ "apps" ] ~docv:"N" ~doc:"Applications in the event stream.")
   in
   let tenants =
-    Arg.(value & opt int 4 & info [ "tenants" ] ~docv:"T" ~doc:"Tenant count.")
+    Arg.(
+      value & opt positive_int 4
+      & info [ "tenants" ] ~docv:"T" ~doc:"Tenant count.")
   in
   let tenancy =
     let doc =
@@ -668,13 +706,13 @@ let serve_cmd =
   in
   let proc_budget =
     Arg.(
-      value & opt int 96
+      value & opt positive_int 96
       & info [ "proc-budget" ] ~docv:"P"
           ~doc:"Platform-wide cap on concurrently allocated processors.")
   in
   let card_scale =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "card-scale" ] ~docv:"F"
           ~doc:"Scale server card bandwidths (values below 1 make cards a \
                 contended resource under co-tenancy).")
@@ -794,16 +832,7 @@ let serve_cmd =
           Insp.Obs_export.save path dump;
           Format.printf "wrote state dump to %s@." path)
         dump_out;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-          Format.printf "wrote Chrome trace to %s@." path)
-        trace;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-          Format.printf "wrote metrics CSV to %s@." path)
-        metrics;
+      write_exports ~trace ~metrics recorder;
       Option.iter (fun base -> write_prof base recorder) profile;
       verify_code
   in
@@ -1032,16 +1061,7 @@ let faults_cmd =
               Format.printf "wrote decision journal to %s (%d events)@." path
                 (Journal.length recorder.Insp.Obs.journal))
             journal_out;
-          Option.iter
-            (fun path ->
-              Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-              Format.printf "wrote Chrome trace to %s@." path)
-            trace;
-          Option.iter
-            (fun path ->
-              Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-              Format.printf "wrote metrics CSV to %s@." path)
-            metrics;
+          write_exports ~trace ~metrics recorder;
           Option.iter (fun base -> write_prof base recorder) profile;
           if verify_code <> 0 then verify_code
           else
@@ -1104,16 +1124,7 @@ let journal_dump_cmd =
       Insp.Obs_export.save out (Journal.to_jsonl recorder.Insp.Obs.journal);
       Format.printf "wrote decision journal to %s (%d events)@." out
         (Journal.length recorder.Insp.Obs.journal);
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.chrome_trace recorder);
-          Format.printf "wrote Chrome trace to %s@." path)
-        trace;
-      Option.iter
-        (fun path ->
-          Insp.Obs_export.save path (Insp.Obs_export.metrics_csv recorder);
-          Format.printf "wrote metrics CSV to %s@." path)
-        metrics;
+      write_exports ~trace ~metrics recorder;
       solve_exit_code results
   in
   let term =

@@ -1,5 +1,6 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
+module Objects = Insp_tree.Objects
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
 
@@ -24,6 +25,14 @@ type violation =
       load : float;
       capacity : float;
     }
+
+type view = {
+  n_nodes : int;
+  objects : Objects.t;
+  needed : int -> int list;
+  demand : int -> Demand.t;
+  iter_streams : (int -> int -> float -> unit) -> unit;
+}
 
 let tolerance = 1e-9
 
@@ -55,15 +64,15 @@ let pair_flow app alloc u v =
   in
   flow_into u v +. flow_into v u
 
-let structural_violations app platform alloc =
+let structural_violations view platform alloc =
   let servers = platform.Platform.servers in
   let acc = ref [] in
   let add v = acc := v :: !acc in
-  for i = 0 to App.n_operators app - 1 do
+  for i = 0 to view.n_nodes - 1 do
     if Alloc.assignment alloc i = None then add (Unassigned_operator i)
   done;
   for u = 0 to Alloc.n_procs alloc - 1 do
-    let needed = Demand.distinct_objects app (Alloc.operators_of alloc u) in
+    let needed = view.needed u in
     let planned = Alloc.downloads_of alloc u in
     let planned_types = List.map fst planned in
     List.iter
@@ -91,25 +100,43 @@ let structural_violations app platform alloc =
   done;
   List.rev !acc
 
-let capacity_violations app platform alloc =
+let capacity_violations view platform alloc =
   let servers = platform.Platform.servers in
   let n_procs = Alloc.n_procs alloc in
+  let n_servers = Servers.n_servers servers in
   let acc = ref [] in
   let add v = acc := v :: !acc in
+  (* One pass over every download plan yields each processor's NIC
+     download term and each (server, processor) link load.  Each float
+     cell receives its rates in plan order starting from 0.0, the order
+     a per-server fold over the plan would sum them in; out-of-range
+     servers (already reported as [Not_held]) load no link. *)
+  let dl = Array.make n_procs 0.0 in
+  let link = Array.make (n_servers * n_procs) 0.0 in
+  let rec load_plan u = function
+    | [] -> ()
+    | (k, l) :: rest ->
+      let rate = Objects.rate view.objects k in
+      dl.(u) <- dl.(u) +. rate;
+      if l >= 0 && l < n_servers then begin
+        let c = (l * n_procs) + u in
+        link.(c) <- link.(c) +. rate
+      end;
+      load_plan u rest
+  in
   (* Constraints (1) and (2), per processor.  The NIC download term uses
      the actual download plan, which coincides with the demand's distinct
      object set once the plan is structurally valid. *)
   for u = 0 to n_procs - 1 do
+    load_plan u (Alloc.downloads_of alloc u);
     let p = Alloc.proc alloc u in
-    let d = proc_demand app alloc u in
+    let d = view.demand u in
     let config = p.Alloc.config in
     if exceeds d.Demand.compute config.cpu.speed then
       add
         (Compute_overload
            { proc = u; load = d.Demand.compute; capacity = config.cpu.speed });
-    let nic_load =
-      proc_download_rate app alloc u +. d.Demand.comm_in +. d.Demand.comm_out
-    in
+    let nic_load = dl.(u) +. d.Demand.comm_in +. d.Demand.comm_out in
     if exceeds nic_load config.nic.bandwidth then
       add
         (Nic_overload
@@ -117,16 +144,10 @@ let capacity_violations app platform alloc =
   done;
   (* Constraints (3) and (4), per server (and per server-processor
      link). *)
-  for l = 0 to Servers.n_servers servers - 1 do
+  for l = 0 to n_servers - 1 do
     let total = ref 0.0 in
     for u = 0 to n_procs - 1 do
-      let link_load =
-        List.fold_left
-          (fun acc (k, l') ->
-            if l' = l then acc +. App.download_rate app k else acc)
-          0.0
-          (Alloc.downloads_of alloc u)
-      in
+      let link_load = link.((l * n_procs) + u) in
       total := !total +. link_load;
       if exceeds link_load platform.Platform.server_link then
         add
@@ -143,16 +164,13 @@ let capacity_violations app platform alloc =
         (Server_card_overload
            { server = l; load = !total; capacity = Servers.card servers l })
   done;
-  (* Constraint (5), per processor pair: one pass over the tree edges
-     instead of probing all O(procs²) pairs through [pair_flow].  Each
-     directed accumulator receives its contributions in exactly the
-     order [pair_flow u v] summed them (hosts in ascending index order,
-     members in list order, children in tree order), so the reported
-     loads are bit-identical; pairs no edge touches carry zero flow and
-     can never exceed the non-negative capacity. *)
-  let tree = App.tree app in
-  let rho = App.rho app in
-  (* Directed pairs are encoded as [u * n_procs + v]: the encoding is
+  (* Constraint (5), per processor pair: one pass over the streams
+     instead of probing all O(procs²) pairs.  Each directed accumulator
+     receives its streams in the order the view yields them; pairs no
+     stream touches carry zero flow and can never exceed the
+     non-negative capacity.
+
+     Directed pairs are encoded as [u * n_procs + v]: the encoding is
      monotone in lexicographic (u, v) order (v < n_procs), so sorting
      the encoded undirected pairs visits them in the same order as
      sorting the tuples — and int keys keep the hot inner loop free of
@@ -160,26 +178,11 @@ let capacity_violations app platform alloc =
   let enc u v = (u * n_procs) + v in
   let into : (int, float) Hashtbl.t = Hashtbl.create (4 * n_procs) in
   let pairs = ref [] in
-  for u = 0 to n_procs - 1 do
-    List.iter
-      (fun i ->
-        List.iter
-          (fun j ->
-            match Alloc.assignment alloc j with
-            | Some v when v <> u ->
-              if
-                (not (Hashtbl.mem into (enc u v)))
-                && not (Hashtbl.mem into (enc v u))
-              then pairs := enc (min u v) (max u v) :: !pairs;
-              let prev =
-                Option.value ~default:0.0 (Hashtbl.find_opt into (enc u v))
-              in
-              Hashtbl.replace into (enc u v)
-                (prev +. (rho *. App.output_size app j))
-            | _ -> ())
-          (Optree.children tree i))
-      (Alloc.operators_of alloc u)
-  done;
+  view.iter_streams (fun u v flow ->
+      if (not (Hashtbl.mem into (enc u v))) && not (Hashtbl.mem into (enc v u))
+      then pairs := enc (min u v) (max u v) :: !pairs;
+      let prev = Option.value ~default:0.0 (Hashtbl.find_opt into (enc u v)) in
+      Hashtbl.replace into (enc u v) (prev +. flow));
   List.iter
     (fun key ->
       let u = key / n_procs and v = key mod n_procs in
@@ -199,11 +202,40 @@ let capacity_violations app platform alloc =
     (List.sort_uniq compare !pairs);
   List.rev !acc
 
-let check app platform alloc =
-  let structural = structural_violations app platform alloc in
-  structural @ capacity_violations app platform alloc
+let check_view view platform alloc =
+  let structural = structural_violations view platform alloc in
+  structural @ capacity_violations view platform alloc
 
-let is_feasible app platform alloc = check app platform alloc = []
+(* The tree is the one-application view: a processor receives one
+   stream per tree edge whose child lives elsewhere, visited by host in
+   ascending index order, members in list order and children in tree
+   order — the order [pair_flow] sums them in, so the reported loads are
+   bit-identical to it. *)
+let check app platform alloc =
+  let tree = App.tree app in
+  let rho = App.rho app in
+  let iter_streams f =
+    for u = 0 to Alloc.n_procs alloc - 1 do
+      List.iter
+        (fun i ->
+          List.iter
+            (fun j ->
+              match Alloc.assignment alloc j with
+              | Some v when v <> u -> f u v (rho *. App.output_size app j)
+              | _ -> ())
+            (Optree.children tree i))
+        (Alloc.operators_of alloc u)
+    done
+  in
+  check_view
+    {
+      n_nodes = App.n_operators app;
+      objects = App.objects app;
+      needed = (fun u -> Demand.distinct_objects app (Alloc.operators_of alloc u));
+      demand = proc_demand app alloc;
+      iter_streams;
+    }
+    platform alloc
 
 let pp_violation ppf = function
   | Unassigned_operator i -> Format.fprintf ppf "operator n%d is unassigned" i

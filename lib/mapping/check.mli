@@ -43,9 +43,32 @@ val check :
   Insp_tree.App.t -> Insp_platform.Platform.t -> Alloc.t -> violation list
 (** All violations, structural first.  Empty list = feasible. *)
 
-(* lint: allow t3 — documented oracle entry point for external validity checks *)
-val is_feasible :
-  Insp_tree.App.t -> Insp_platform.Platform.t -> Alloc.t -> bool
+(** {1 The checker core}
+
+    {!check} is the one-application case of a checker parameterised by
+    what differs between a tree and an operator DAG
+    ({!Insp_multi.Dag_check}): each processor's demand and the streams
+    it receives.  The structural pass, the download-plan terms of (2),
+    constraints (3)/(4) and the per-pair accumulation of (5) are shared. *)
+
+type view = {
+  n_nodes : int;  (** node ids are [0 .. n_nodes - 1]; unassigned ones are reported *)
+  objects : Insp_tree.Objects.t;  (** object rates of the download plans *)
+  needed : int -> int list;
+      (** distinct object types processor [u]'s nodes read, sorted *)
+  demand : int -> Demand.t;
+      (** processor [u]'s demand; (1) reads [compute], (2) reads
+          [comm_in] and [comm_out] (its download term comes from the
+          plan) *)
+  iter_streams : (int -> int -> float -> unit) -> unit;
+      (** [iter_streams f] calls [f u v flow] once per stream processor
+          [u] receives from a distinct processor [v] (MB/s); the calls
+          fix the summation order of (5) *)
+}
+
+val check_view :
+  view -> Insp_platform.Platform.t -> Alloc.t -> violation list
+(** All violations of the view, in {!check}'s order. *)
 
 val proc_demand : Insp_tree.App.t -> Alloc.t -> int -> Demand.t
 (** Demand of processor [u]'s operator group (same arithmetic the

@@ -1,18 +1,16 @@
 module Objects = Insp_tree.Objects
-module Platform = Insp_platform.Platform
-module Servers = Insp_platform.Servers
-module Catalog = Insp_platform.Catalog
 module Alloc = Insp_mapping.Alloc
 module Check = Insp_mapping.Check
+module Demand = Insp_mapping.Demand
 
-type demand = {
+type demand = Demand.t = {
   compute : float;
   download : float;
   comm_in : float;
   comm_out : float;
 }
 
-let nic d = d.download +. d.comm_in +. d.comm_out
+let nic = Demand.nic
 
 let distinct_objects dag group =
   List.concat_map
@@ -115,105 +113,25 @@ let pair_flow dag alloc u v =
   in
   one_way u v +. one_way v u
 
-let tolerance = 1e-9
-let exceeds load cap = load > cap *. (1.0 +. tolerance) +. tolerance
-
+(* Streams entering processor [u]: one per producer elsewhere, at the
+   fastest rate any consumer on [u] needs. *)
 let check dag platform alloc =
-  let servers = platform.Platform.servers in
-  let objects = Dag.objects dag in
-  let n_procs = Alloc.n_procs alloc in
-  let acc = ref [] in
-  let add v = acc := v :: !acc in
-  (* structural *)
-  for i = 0 to Dag.n_nodes dag - 1 do
-    if Alloc.assignment alloc i = None then add (Check.Unassigned_operator i)
-  done;
-  for u = 0 to n_procs - 1 do
-    let needed = distinct_objects dag (Alloc.operators_of alloc u) in
-    let planned = Alloc.downloads_of alloc u in
-    let planned_types = List.map fst planned in
-    List.iter
-      (fun k ->
-        if not (List.mem k planned_types) then
-          add (Check.Missing_download { proc = u; object_type = k }))
-      needed;
-    List.iter
-      (fun (k, l) ->
-        if not (List.mem k needed) then
-          add (Check.Extraneous_download { proc = u; object_type = k });
-        if l < 0 || l >= Servers.n_servers servers || not (Servers.holds servers l k)
-        then add (Check.Not_held { proc = u; object_type = k; server = l }))
-      planned;
-    List.iter
-      (fun k ->
-        if List.length (List.filter (fun k' -> k' = k) planned_types) > 1
-        then add (Check.Duplicate_download { proc = u; object_type = k }))
-      (List.sort_uniq compare planned_types)
-  done;
-  (* (1) and (2) *)
-  for u = 0 to n_procs - 1 do
-    let config = (Alloc.proc alloc u).Alloc.config in
-    let d = proc_demand dag alloc u in
-    if exceeds d.compute config.Catalog.cpu.Catalog.speed then
-      add
-        (Check.Compute_overload
-           { proc = u; load = d.compute; capacity = config.Catalog.cpu.Catalog.speed });
-    let planned_rate =
-      List.fold_left
-        (fun acc (k, _) -> acc +. Objects.rate objects k)
-        0.0 (Alloc.downloads_of alloc u)
-    in
-    let nic_load = planned_rate +. d.comm_in +. d.comm_out in
-    if exceeds nic_load config.Catalog.nic.Catalog.bandwidth then
-      add
-        (Check.Nic_overload
-           {
-             proc = u;
-             load = nic_load;
-             capacity = config.Catalog.nic.Catalog.bandwidth;
-           })
-  done;
-  (* (3) and (4) *)
-  for l = 0 to Servers.n_servers servers - 1 do
-    let total = ref 0.0 in
-    for u = 0 to n_procs - 1 do
-      let link_load =
-        List.fold_left
-          (fun acc (k, l') ->
-            if l' = l then acc +. Objects.rate objects k else acc)
-          0.0 (Alloc.downloads_of alloc u)
-      in
-      total := !total +. link_load;
-      if exceeds link_load platform.Platform.server_link then
-        add
-          (Check.Server_link_overload
-             {
-               server = l;
-               proc = u;
-               load = link_load;
-               capacity = platform.Platform.server_link;
-             })
-    done;
-    if exceeds !total (Servers.card servers l) then
-      add
-        (Check.Server_card_overload
-           { server = l; load = !total; capacity = Servers.card servers l })
-  done;
-  (* (5) *)
-  for u = 0 to n_procs - 1 do
-    for v = u + 1 to n_procs - 1 do
-      let flow = pair_flow dag alloc u v in
-      if exceeds flow platform.Platform.proc_link then
-        add
-          (Check.Proc_link_overload
-             {
-               proc_a = u;
-               proc_b = v;
-               load = flow;
-               capacity = platform.Platform.proc_link;
-             })
+  let iter_streams f =
+    for u = 0 to Alloc.n_procs alloc - 1 do
+      List.iter
+        (fun (j, rate) ->
+          match Alloc.assignment alloc j with
+          | Some v when v <> u -> f u v ((Dag.node dag j).Dag.output *. rate)
+          | Some _ | None -> ())
+        (external_sources dag (Alloc.operators_of alloc u))
     done
-  done;
-  List.rev !acc
-
-let is_feasible dag platform alloc = check dag platform alloc = []
+  in
+  Check.check_view
+    {
+      Check.n_nodes = Dag.n_nodes dag;
+      objects = Dag.objects dag;
+      needed = (fun u -> distinct_objects dag (Alloc.operators_of alloc u));
+      demand = proc_demand dag alloc;
+      iter_streams;
+    }
+    platform alloc

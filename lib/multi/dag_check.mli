@@ -1,19 +1,18 @@
-(** Constraint checking for DAG allocations — the paper's constraints
-    (1)–(5) generalised to shared operators.
-
-    Differences from the tree checker ({!Insp_mapping.Check}):
-    - compute load of a node is [rate_i * w_i] (its own required rate,
-      not one global rho);
-    - a node's output crossing to another processor is ONE stream per
-      destination processor, at the fastest rate any consumer there
-      needs: a processor hosting two consumers of the same remote node
-      receives the stream once;
-    - download plans and server constraints are unchanged.
+(** Constraint checking for DAG allocations: the DAG view over the
+    shared checker core {!Insp_mapping.Check.check_view}, which also
+    checks trees.  The structural pass and constraints (1)–(5) are the
+    core's; this module supplies only what a DAG changes:
+    - the demand of a processor, where the compute load of a node is
+      [rate_i * w_i] (its own required rate, not one global rho);
+    - the streams a processor receives: a node's output crossing to
+      another processor is ONE stream per destination processor, at the
+      fastest rate any consumer there needs, so a processor hosting two
+      consumers of the same remote node receives the stream once.
 
     Allocations reuse {!Insp_mapping.Alloc} with node ids in place of
     operator ids, and violations reuse {!Insp_mapping.Check.violation}. *)
 
-type demand = {
+type demand = Insp_mapping.Demand.t = {
   compute : float;  (** Mops/s *)
   download : float;  (** MB/s over the group's distinct object inputs *)
   comm_in : float;  (** MB/s from external producer nodes (dedup) *)
@@ -47,7 +46,3 @@ val check :
   Insp_platform.Platform.t ->
   Insp_mapping.Alloc.t ->
   Insp_mapping.Check.violation list
-
-(* lint: allow t3 — documented oracle entry point for external validity checks *)
-val is_feasible :
-  Dag.t -> Insp_platform.Platform.t -> Insp_mapping.Alloc.t -> bool

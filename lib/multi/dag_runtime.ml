@@ -1,291 +1,27 @@
-module Objects = Insp_tree.Objects
-module Catalog = Insp_platform.Catalog
-module Platform = Insp_platform.Platform
-module Servers = Insp_platform.Servers
-module Alloc = Insp_mapping.Alloc
-module Heap = Insp_util.Heap
 module Runtime = Insp_sim.Runtime
-module Fair_share = Insp_sim.Fair_share
 
 let sustains_target = Runtime.sustains_target
 
-type endpoint = Proc of int | Server of int
-
-type flow_kind =
-  | Stream of { producer : int }  (* node output towards dst's consumers *)
-  | Download of { object_type : int }
-
-type flow = {
-  kind : flow_kind;
-  src : endpoint;
-  dst : int;
-  mutable remaining : float;
-}
-
-type event =
-  | Compute_done of { node : int }
-  | Download_due of { proc : int; object_type : int; server : int }
-
-let epsilon = 1e-9
-
-let run ?window ?(horizon = 80.0) ?warmup dag platform alloc =
-  let window =
-    match window with
-    | Some w -> w
-    | None -> max 8 (2 * Alloc.n_procs alloc)
-  in
-  let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
-  if warmup >= horizon then invalid_arg "Dag_runtime.run: warmup >= horizon";
+let run ?window ?horizon ?warmup dag platform alloc =
   let n = Dag.n_nodes dag in
   let rho = (Dag.node dag 0).Dag.rate in
   for i = 0 to n - 1 do
     if Float.abs ((Dag.node dag i).Dag.rate -. rho) > 1e-9 then
       invalid_arg "Dag_runtime.run: mixed node rates are not supported"
   done;
-  let proc_of = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    match Alloc.assignment alloc i with
-    | Some u -> proc_of.(i) <- u
-    | None -> invalid_arg "Dag_runtime.run: unassigned node"
-  done;
-  let n_procs = Alloc.n_procs alloc in
-  let speed u = (Alloc.proc alloc u).Alloc.config.Catalog.cpu.Catalog.speed in
-  let nic u = (Alloc.proc alloc u).Alloc.config.Catalog.nic.Catalog.bandwidth in
-  let servers = platform.Platform.servers in
-  let objects = Dag.objects dag in
-  (* Remote destinations of every node's output stream. *)
-  let remote_dests =
-    Array.init n (fun i ->
-        Dag.consumers dag i
-        |> List.map (fun c -> proc_of.(c))
-        |> List.filter (fun v -> v <> proc_of.(i))
-        |> List.sort_uniq compare)
+  let graph =
+    {
+      Runtime.work = Array.init n (fun i -> (Dag.node dag i).Dag.work);
+      output = Array.init n (fun i -> (Dag.node dag i).Dag.output);
+      inputs =
+        Array.init n (fun i ->
+            Array.of_list
+              (List.filter_map
+                 (function Dag.Node j -> Some j | Dag.Object _ -> None)
+                 (Dag.inputs dag i)));
+      roots = Array.of_list (List.map fst (Dag.roots dag));
+      rho;
+      objects = Dag.objects dag;
+    }
   in
-  let node_inputs =
-    Array.init n (fun i ->
-        List.filter_map
-          (function Dag.Node j -> Some j | Dag.Object _ -> None)
-          (Dag.inputs dag i))
-  in
-  let completed = Array.make n (-1) in
-  (* arrivals.(v) maps producer node -> results received at proc v *)
-  let arrivals = Array.init n_procs (fun _ -> Hashtbl.create 16) in
-  let arrived v j =
-    match Hashtbl.find_opt arrivals.(v) j with Some c -> c | None -> 0
-  in
-  let computing = Array.make n_procs false in
-  let busy_accum = Array.make n_procs 0.0 in
-  let roots = Dag.roots dag in
-  let root_completions = Array.make (List.length roots) [] in
-  let flows : flow list ref = ref [] in
-  let rates : (flow * float) list ref = ref [] in
-  let events = Heap.create () in
-  let n_events = ref 0 in
-  let download_delivered = ref 0.0 in
-  let recompute_rates () =
-    let fl = Array.of_list !flows in
-    if Array.length fl = 0 then rates := []
-    else begin
-      let caps = ref [] in
-      let n_caps = ref 0 in
-      let cap_index = Hashtbl.create 16 in
-      let constraint_of key cap =
-        match Hashtbl.find_opt cap_index key with
-        | Some idx -> idx
-        | None ->
-          let idx = !n_caps in
-          incr n_caps;
-          Hashtbl.replace cap_index key idx;
-          caps := cap :: !caps;
-          idx
-      in
-      let membership =
-        Array.map
-          (fun f ->
-            let dst_card = constraint_of (`Proc_card f.dst) (nic f.dst) in
-            match f.src with
-            | Proc u ->
-              [
-                constraint_of (`Proc_card u) (nic u);
-                dst_card;
-                constraint_of (`Plink (u, f.dst)) platform.Platform.proc_link;
-              ]
-            | Server l ->
-              [
-                constraint_of (`Server_card l) (Servers.card servers l);
-                dst_card;
-                constraint_of (`Slink (l, f.dst)) platform.Platform.server_link;
-              ])
-          fl
-      in
-      let caps = Array.of_list (List.rev !caps) in
-      let r = Fair_share.compute ~caps ~membership in
-      rates := Array.to_list (Array.mapi (fun i f -> (f, r.(i))) fl)
-    end
-  in
-  let min_root_completed () =
-    List.fold_left
-      (fun acc (r, _) -> min acc completed.(r))
-      max_int roots
-  in
-  let ready node =
-    let t = completed.(node) + 1 in
-    t <= min_root_completed () + window
-    && List.for_all
-         (fun j ->
-           if proc_of.(j) = proc_of.(node) then completed.(j) >= t
-           else arrived proc_of.(node) j > t)
-         node_inputs.(node)
-  in
-  let now = ref 0.0 in
-  let dispatch () =
-    for u = 0 to n_procs - 1 do
-      if not computing.(u) then begin
-        let best = ref None in
-        List.iter
-          (fun node ->
-            if ready node then
-              match !best with
-              | Some b when (completed.(b), b) <= (completed.(node), node) -> ()
-              | _ -> best := Some node)
-          (Alloc.operators_of alloc u);
-        match !best with
-        | None -> ()
-        | Some node ->
-          computing.(u) <- true;
-          let duration = (Dag.node dag node).Dag.work /. speed u in
-          busy_accum.(u) <- busy_accum.(u) +. duration;
-          Heap.push events (!now +. duration) (Compute_done { node })
-      end
-    done
-  in
-  let finish_compute node =
-    completed.(node) <- completed.(node) + 1;
-    computing.(proc_of.(node)) <- false;
-    List.iteri
-      (fun idx (r, _) ->
-        if r = node then
-          root_completions.(idx) <- !now :: root_completions.(idx))
-      roots;
-    if remote_dests.(node) <> [] then begin
-      let size = (Dag.node dag node).Dag.output in
-      List.iter
-        (fun v ->
-          flows :=
-            {
-              kind = Stream { producer = node };
-              src = Proc proc_of.(node);
-              dst = v;
-              remaining = size;
-            }
-            :: !flows)
-        remote_dests.(node);
-      recompute_rates ()
-    end
-  in
-  let finish_flow f =
-    (match f.kind with
-    | Stream { producer } ->
-      Hashtbl.replace arrivals.(f.dst) producer (arrived f.dst producer + 1)
-    | Download _ -> ());
-    flows := List.filter (fun g -> g != f) !flows
-  in
-  List.iter
-    (fun (u, k, l) ->
-      Heap.push events 0.0 (Download_due { proc = u; object_type = k; server = l }))
-    (Alloc.all_downloads alloc);
-  dispatch ();
-  let continue_ = ref true in
-  while !continue_ do
-    let t_heap =
-      match Heap.peek events with Some (t, _) -> t | None -> infinity
-    in
-    let t_flow =
-      List.fold_left
-        (fun acc (f, r) ->
-          if r > epsilon then Float.min acc (!now +. (f.remaining /. r)) else acc)
-        infinity !rates
-    in
-    let t_next = Float.min horizon (Float.min t_heap t_flow) in
-    let dt = t_next -. !now in
-    if dt > 0.0 then
-      List.iter
-        (fun (f, r) ->
-          let moved = Float.min f.remaining (r *. dt) in
-          f.remaining <- f.remaining -. moved;
-          match f.kind with
-          | Download _ -> download_delivered := !download_delivered +. moved
-          | Stream _ -> ())
-        !rates;
-    now := t_next;
-    if t_next >= horizon then continue_ := false
-    else if t_flow <= t_heap then begin
-      incr n_events;
-      let done_flows = List.filter (fun f -> f.remaining <= epsilon) !flows in
-      List.iter finish_flow done_flows;
-      recompute_rates ();
-      dispatch ()
-    end
-    else begin
-      incr n_events;
-      match Heap.pop events with
-      | None -> continue_ := false
-      | Some (_, Compute_done { node }) ->
-        finish_compute node;
-        dispatch ()
-      | Some (_, Download_due { proc; object_type; server }) ->
-        let size = Objects.size objects object_type in
-        let freq = Objects.freq objects object_type in
-        flows :=
-          {
-            kind = Download { object_type };
-            src = Server server;
-            dst = proc;
-            remaining = size;
-          }
-          :: !flows;
-        Heap.push events (!now +. (1.0 /. freq))
-          (Download_due { proc; object_type; server });
-        recompute_rates ();
-        dispatch ()
-    end
-  done;
-  let per_root_rate completions =
-    let after = List.filter (fun t -> t >= warmup) completions in
-    float_of_int (List.length after) /. (horizon -. warmup)
-  in
-  let achieved =
-    Array.fold_left
-      (fun acc completions -> Float.min acc (per_root_rate completions))
-      infinity root_completions
-  in
-  let total_completed =
-    Array.fold_left
-      (fun acc completions -> min acc (List.length completions))
-      max_int root_completions
-  in
-  let ideal =
-    List.fold_left
-      (fun acc (_, k, _) -> acc +. (Objects.rate objects k *. horizon))
-      0.0 (Alloc.all_downloads alloc)
-  in
-  {
-    Runtime.sim_time = horizon;
-    results_completed = total_completed;
-    achieved_throughput = achieved;
-    target_throughput = rho;
-    proc_busy = Array.map (fun b -> Float.min 1.0 (b /. horizon)) busy_accum;
-    download_delivered = !download_delivered;
-    download_ideal = ideal;
-    events = !n_events;
-    root_completions =
-      (* merged over every root, ascending *)
-      (let all =
-         Array.fold_left
-           (fun acc completions -> List.rev_append completions acc)
-           [] root_completions
-       in
-       let a = Array.of_list all in
-       Array.sort Float.compare a;
-       a);
-  }
+  Runtime.run_graph ?window ?horizon ?warmup graph platform alloc

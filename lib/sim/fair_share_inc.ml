@@ -97,8 +97,6 @@ let create ?(kernel = `Incremental) () =
     s_rebuilds = 0;
   }
 
-let kernel t = t.kernel
-
 let grown a n v =
   if Array.length a >= n then a
   else begin
@@ -124,8 +122,6 @@ let add_constraint t cap =
      out-of-capacity cid forces a rebuild at the next refresh. *)
   if cid < t.uf_capacity then t.members.(cid) <- [ cid ];
   cid
-
-let n_constraints t = t.n_caps
 
 let set_capacity t cid cap =
   if cid < 0 || cid >= t.n_caps then
@@ -411,16 +407,10 @@ let rate t fid =
   check_active t fid "rate";
   t.rates.(fid)
 
-let n_active t = t.n_active
-
 let iter_active t f =
   for fid = 0 to t.n_slots - 1 do
     if t.flow_active.(fid) then f fid t.rates.(fid)
   done
-
-let membership t fid =
-  check_active t fid "membership";
-  t.membership.(fid)
 
 let components t =
   (match t.kernel with

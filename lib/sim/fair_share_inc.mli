@@ -40,16 +40,10 @@ type stats = {
 val create : ?kernel:kernel -> unit -> t
 (** Fresh empty kernel.  [kernel] defaults to [`Incremental]. *)
 
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val kernel : t -> kernel
-
 val add_constraint : t -> float -> int
 (** [add_constraint t cap] registers a capacity and returns its
     constraint index.  Indices are dense, starting at 0, and never
     recycled.  Raises [Invalid_argument] on a negative cap. *)
-
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val n_constraints : t -> int
 
 val set_capacity : t -> int -> float -> unit
 (** [set_capacity t cid cap] replaces the registered capacity of
@@ -83,19 +77,12 @@ val rate : t -> int -> float
 (** Current max-min rate of an active flow, as of the last {!refresh}.
     Raises [Invalid_argument] on an inactive id. *)
 
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val n_active : t -> int
-
 val active_flows : t -> int list
 (** Active flow ids, ascending. *)
 
 val iter_active : t -> (int -> float -> unit) -> unit
 (** [iter_active t f] calls [f fid rate] for every active flow in
     ascending id order. *)
-
-(* lint: allow t3 — incremental-kernel introspection kept for diagnostics *)
-val membership : t -> int -> int list
-(** Constraint indices of an active flow, as given to {!add_flow}. *)
 
 val components : t -> int list list
 (** Connected components of the constraint graph, each a sorted list of

@@ -1,5 +1,6 @@
 module App = Insp_tree.App
 module Optree = Insp_tree.Optree
+module Objects = Insp_tree.Objects
 module Catalog = Insp_platform.Catalog
 module Platform = Insp_platform.Platform
 module Servers = Insp_platform.Servers
@@ -25,10 +26,31 @@ type report = {
 let sustains_target r =
   r.achieved_throughput >= 0.95 *. r.target_throughput
 
+type graph = {
+  work : float array;
+  output : float array;
+  inputs : int array array;
+  roots : int array;
+  rho : float;
+  objects : Objects.t;
+}
+
+let graph_of_app app =
+  let tree = App.tree app in
+  let n = App.n_operators app in
+  {
+    work = Array.init n (App.work app);
+    output = Array.init n (App.output_size app);
+    inputs = Array.init n (fun i -> Array.of_list (Optree.children tree i));
+    roots = [| Optree.root tree |];
+    rho = App.rho app;
+    objects = App.objects app;
+  }
+
 type endpoint = Proc of int | Server of int
 
 type flow_kind =
-  | Message of { child : int }  (* result of operator [child] to parent *)
+  | Message of { slot : int }  (* a node's result towards one processor *)
   | Download of { proc : int; object_type : int }
 
 type flow = {
@@ -60,7 +82,7 @@ type event =
 let epsilon = 1e-9
 
 let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
-    ?(disruptions = []) app platform alloc =
+    ?(disruptions = []) g platform alloc =
   (* The pipeline needs enough results in flight to cover its depth in
      processor hops, otherwise the work-ahead bound (not a resource)
      throttles throughput. *)
@@ -71,8 +93,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   in
   let warmup = match warmup with Some w -> w | None -> horizon /. 4.0 in
   if warmup >= horizon then invalid_arg "Runtime.run: warmup >= horizon";
-  let tree = App.tree app in
-  let n_ops = App.n_operators app in
+  if Array.length g.roots = 0 then invalid_arg "Runtime.run: no root";
+  let n_ops = Array.length g.work in
   let n_procs = Alloc.n_procs alloc in
   let proc_of = Array.make n_ops (-1) in
   for i = 0 to n_ops - 1 do
@@ -80,22 +102,49 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
     | Some u -> proc_of.(i) <- u
     | None -> invalid_arg "Runtime.run: unassigned operator"
   done;
+  (* The placement-dependent half of the view.  A node's result crosses
+     to each remote processor hosting one of its consumers once, however
+     many consumers live there, and every consumer on that processor
+     reads the same arrival counter: one slot per (producer,
+     destination).  [slots.(i).(k)] is the slot of [i]'s k-th input, or
+     -1 when the producer is co-located; [dests.(j)] lists [j]'s
+     (destination, slot) pairs in ascending destination order. *)
+  let slots = Array.map (fun ins -> Array.make (Array.length ins) (-1)) g.inputs in
+  let dests = Array.make n_ops [] in
+  let slot_of = Hashtbl.create 16 in
+  Array.iteri
+    (fun i ins ->
+      let v = proc_of.(i) in
+      Array.iteri
+        (fun k j ->
+          if proc_of.(j) <> v then
+            slots.(i).(k) <-
+              (let key = (j * n_procs) + v in
+               match Hashtbl.find_opt slot_of key with
+               | Some s -> s
+               | None ->
+                 let s = Hashtbl.length slot_of in
+                 Hashtbl.replace slot_of key s;
+                 dests.(j) <- (v, s) :: dests.(j);
+                 s))
+        ins)
+    g.inputs;
+  let dests = Array.map (fun l -> Array.of_list (List.sort compare l)) dests in
   let speed u = (Alloc.proc alloc u).Alloc.config.Catalog.cpu.Catalog.speed in
   let nic u =
     (Alloc.proc alloc u).Alloc.config.Catalog.nic.Catalog.bandwidth
   in
   let servers = platform.Platform.servers in
-  (* --- operator pipeline state --- *)
+  (* --- node pipeline state --- *)
   let completed = Array.make n_ops (-1) in
-  (* arrived.(i) maps each remote operator-child of i to its arrival
-     count *)
-  let children = Array.init n_ops (fun i -> Array.of_list (Optree.children tree i)) in
-  let arrived = Array.map (fun cs -> Array.map (fun _ -> 0) cs) children in
+  let arrived = Array.make (Hashtbl.length slot_of) 0 in
   let computing = Array.make n_procs false in
   let busy_until_accum = Array.make n_procs 0.0 in
-  let n_root_completions = ref 0 in
-  let n_after_warmup = ref 0 in
-  let root_times = ref [] in
+  let roots = g.roots in
+  let n_roots = Array.length roots in
+  let n_root_completions = Array.make n_roots 0 in
+  let n_after_warmup = Array.make n_roots 0 in
+  let root_times = Array.make n_roots [] in
   (* --- flows ---
      Both kernel variants drive the same persistent registry in
      [Fair_share_inc], so constraint indices (and therefore bottleneck
@@ -240,29 +289,36 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
     Fair_share_inc.refresh fs
   in
   (* --- pipeline readiness --- *)
-  let child_slot i c =
-    let cs = children.(i) in
-    let rec find k = if cs.(k) = c then k else find (k + 1) in
-    find 0
+  (* The work-ahead window is measured from the slowest application. *)
+  let slowest_root () =
+    let m = ref completed.(roots.(0)) in
+    for r = 1 to n_roots - 1 do
+      m := Int.min !m completed.(roots.(r))
+    done;
+    !m
   in
-  let ready op =
+  (* Result [t] of every input from index [k] on is available. *)
+  let rec inputs_ready ins sl t k =
+    k >= Array.length ins
+    || (if sl.(k) < 0 then completed.(ins.(k)) >= t else arrived.(sl.(k)) > t)
+       && inputs_ready ins sl t (k + 1)
+  in
+  (* [limit] is the highest result the work-ahead window admits. *)
+  let ready limit op =
     let t = completed.(op) + 1 in
-    t <= completed.(0) + window
-    && Array.for_all
-         (fun c ->
-           if proc_of.(c) = proc_of.(op) then completed.(c) >= t
-           else arrived.(op).(child_slot op c) > t)
-         children.(op)
+    t <= limit && inputs_ready g.inputs.(op) slots.(op) t 0
   in
   let dispatch () =
     (* Start an evaluation on every idle processor that has a ready
-       operator (lowest pending result first, then operator id). *)
+       operator (lowest pending result first, then operator id).
+       Starting one completes nothing, so the window holds still. *)
+    let limit = slowest_root () + window in
     for u = 0 to n_procs - 1 do
       if not computing.(u) then begin
         let best = ref None in
         List.iter
           (fun op ->
-            if ready op then
+            if ready limit op then
               match !best with
               | Some b
                 when (completed.(b), b) <= (completed.(op), op) -> ()
@@ -276,7 +332,7 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
             Obs.event_bounded ~category:"sim"
               (Journal.Sim_dispatch
                  { t = !now; proc = u; op; result = completed.(op) + 1 });
-          let duration = App.work app op /. speed u in
+          let duration = g.work.(op) /. speed u in
           busy_until_accum.(u) <- busy_until_accum.(u) +. duration;
           Heap.push events (!now +. duration)
             (Compute_done { op; result = completed.(op) + 1 })
@@ -286,23 +342,26 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let finish_compute op result =
     completed.(op) <- result;
     computing.(proc_of.(op)) <- false;
-    if op = Optree.root tree then begin
-      incr n_root_completions;
-      root_times := !now :: !root_times;
-      if !now >= warmup then incr n_after_warmup
-    end;
-    match Optree.parent tree op with
-    | Some p when proc_of.(p) <> proc_of.(op) ->
-      let size = App.output_size app op in
+    for r = 0 to n_roots - 1 do
+      if roots.(r) = op then begin
+        n_root_completions.(r) <- n_root_completions.(r) + 1;
+        root_times.(r) <- !now :: root_times.(r);
+        if !now >= warmup then n_after_warmup.(r) <- n_after_warmup.(r) + 1
+      end
+    done;
+    let ds = dests.(op) in
+    for d = 0 to Array.length ds - 1 do
+      let v, slot = ds.(d) in
+      let size = g.output.(op) in
       start_flow
         {
-          kind = Message { child = op };
+          kind = Message { slot };
           src = Proc proc_of.(op);
-          dst = proc_of.(p);
+          dst = v;
           size;
           remaining = size;
         }
-    | Some _ | None -> ()
+    done
   in
   (* Set when a finished Message flow bumped an arrival count — the
      only way a flow completion can make an operator ready.  Download
@@ -314,14 +373,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   let finish_flow fid =
     let f = flow_at fid in
     (match f.kind with
-    | Message { child } ->
-      let p =
-        match Optree.parent tree child with
-        | Some p -> p
-        | None -> assert false (* no Message flow is ever sent for the root *)
-      in
-      let slot = child_slot p child in
-      arrived.(p).(slot) <- arrived.(p).(slot) + 1;
+    | Message { slot } ->
+      arrived.(slot) <- arrived.(slot) + 1;
       arrival_bumped := true
     | Download _ -> ());
     incr n_flows_completed;
@@ -345,8 +398,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
       finish_compute op result;
       dispatch ()
     | Download_due { proc; object_type; server } ->
-      let size = Insp_tree.Objects.size (App.objects app) object_type in
-      let freq = Insp_tree.Objects.freq (App.objects app) object_type in
+      let size = Objects.size g.objects object_type in
+      let freq = Objects.freq g.objects object_type in
       start_flow
         {
           kind = Download { proc; object_type };
@@ -483,25 +536,35 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
     end
   done;
   (* --- measurement --- *)
-  let achieved = float_of_int !n_after_warmup /. (horizon -. warmup) in
+  (* Every application must keep up, so the slowest sink is the
+     deployment's throughput. *)
+  let achieved =
+    Array.fold_left
+      (fun acc n -> Float.min acc (float_of_int n /. (horizon -. warmup)))
+      infinity n_after_warmup
+  in
   let ideal =
     List.fold_left
-      (fun acc (_, k, _) -> acc +. (App.download_rate app k *. horizon))
+      (fun acc (_, k, _) -> acc +. (Objects.rate g.objects k *. horizon))
       0.0
       (Alloc.all_downloads alloc)
   in
+  let root_completions =
+    Array.of_list (Array.fold_left (fun acc l -> List.rev_append l acc) [] root_times)
+  in
+  Array.sort Float.compare root_completions;
   let report =
     {
       sim_time = horizon;
-      results_completed = !n_root_completions;
+      results_completed = Array.fold_left Int.min max_int n_root_completions;
       achieved_throughput = achieved;
-      target_throughput = App.rho app;
+      target_throughput = g.rho;
       proc_busy =
         Array.map (fun b -> Float.min 1.0 (b /. horizon)) busy_until_accum;
       download_delivered = !download_delivered;
       download_ideal = ideal;
       events = !n_events;
-      root_completions = Array.of_list (List.rev !root_times);
+      root_completions;
     }
   in
   Obs.add "sim.event" !n_events;
@@ -526,9 +589,14 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
   end;
   report
 
+let run_graph ?window ?horizon ?warmup g platform alloc =
+  Obs.span "sim.run" (fun () ->
+      run_impl ?window ?horizon ?warmup g platform alloc)
+
 let run ?window ?horizon ?warmup ?kernel ?disruptions app platform alloc =
   Obs.span "sim.run" (fun () ->
-      run_impl ?window ?horizon ?warmup ?kernel ?disruptions app platform alloc)
+      run_impl ?window ?horizon ?warmup ?kernel ?disruptions (graph_of_app app)
+        platform alloc)
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -94,4 +94,39 @@ val run :
     assigned (checker-valid structure); capacity violations are allowed
     and simply show up as reduced throughput. *)
 
+(** {1 Graph view}
+
+    The event loop runs over a small graph view rather than over the
+    operator tree itself, so an operator DAG ({!Insp_multi.Dag_runtime})
+    is executed by the same loop: a tree is the one-application case.
+    Node [i] is evaluated once per result on its processor and its
+    output crosses once to every remote processor hosting one of its
+    consumers, however many consumers live there. *)
+
+type graph = {
+  work : float array;  (** Mops per evaluation, per node *)
+  output : float array;  (** MB per evaluation, per node *)
+  inputs : int array array;
+      (** the nodes each node consumes, in input order (basic objects
+          are not listed: they arrive through the download plan) *)
+  roots : int array;
+      (** one sink node per application; the work-ahead window and the
+          reported throughput follow the slowest *)
+  rho : float;  (** every application's target throughput *)
+  objects : Insp_tree.Objects.t;  (** sizes and refresh rates of the plan *)
+}
+
+val run_graph :
+  ?window:int ->
+  ?horizon:float ->
+  ?warmup:float ->
+  graph ->
+  Insp_platform.Platform.t ->
+  Insp_mapping.Alloc.t ->
+  report
+(** {!run} over an explicit graph view whose node ids are the
+    allocation's operator ids.  [results_completed] and
+    [achieved_throughput] are the minimum over the roots;
+    [root_completions] merges every root's timestamps. *)
+
 val pp_report : Format.formatter -> report -> unit

@@ -200,6 +200,91 @@ let test_dag_check_rate_weighted_compute () =
   Alcotest.(check string) "fits cheapest" "feasible"
     (Check.explain (Dag_check.check dag platform alloc))
 
+(* A tree is the one-application DAG: checking an allocation through
+   [Dag.of_apps [app]] (node ids are the tree's postorder ranks) must
+   report what the tree checker reports, operators relabelled and loads
+   equal up to summation order.  Besides each heuristic's own solution,
+   the property checks it on the cheapest configuration, on starved
+   links and with a broken download plan, so every capacity kind and
+   the plan's structural kinds show up.  (Only complete allocations are
+   compared: on a partial one the tree demand still counts the edge to
+   an unassigned parent, which the DAG's per-destination demand cannot
+   place.) *)
+let normalize = function
+  | Check.Compute_overload v -> (Check.Compute_overload { v with load = 0.0 }, v.load)
+  | Check.Nic_overload v -> (Check.Nic_overload { v with load = 0.0 }, v.load)
+  | Check.Server_card_overload v ->
+    (Check.Server_card_overload { v with load = 0.0 }, v.load)
+  | Check.Server_link_overload v ->
+    (Check.Server_link_overload { v with load = 0.0 }, v.load)
+  | Check.Proc_link_overload v ->
+    (Check.Proc_link_overload { v with load = 0.0 }, v.load)
+  | v -> (v, 0.0)
+
+let same_violations expected actual =
+  List.length expected = List.length actual
+  && List.for_all2
+       (fun e a ->
+         let ke, le = normalize e and ka, la = normalize a in
+         ke = ka && Helpers.float_eq ~eps:1e-9 le la)
+       expected actual
+
+let tree_check_is_one_app_dag_check =
+  qtest ~count:100 "Dag_check on a one-app DAG agrees with Check"
+    Helpers.instance_case (fun case ->
+      let inst = Helpers.instance_of_case case in
+      let app = inst.Insp.Instance.app
+      and platform = inst.Insp.Instance.platform in
+      let dag = Dag.of_apps [ app ] in
+      let to_dag = Array.make (App.n_operators app) (-1) in
+      List.iteri (fun id op -> to_dag.(op) <- id) (Optree.postorder (App.tree app));
+      let relabel alloc =
+        Alloc.make
+          (Array.map
+             (fun p ->
+               { p with Alloc.operators = List.map (fun i -> to_dag.(i)) p.Alloc.operators })
+             (Alloc.procs alloc))
+      in
+      let relabel_violation = function
+        | Check.Unassigned_operator i -> Check.Unassigned_operator to_dag.(i)
+        | v -> v
+      in
+      let starved =
+        { platform with Insp.Platform.proc_link = 5.0; server_link = 20.0 }
+      in
+      let agree p alloc =
+        same_violations
+          (List.map relabel_violation (Check.check app p alloc))
+          (Dag_check.check dag p (relabel alloc))
+      in
+      List.for_all
+        (fun h ->
+          match Insp.Solve.run ~seed:(let s, _, _ = case in s) h app platform with
+          | Error _ -> true
+          | Ok o ->
+            let alloc = o.Insp.Solve.alloc in
+            let cheapest =
+              Alloc.with_configs alloc
+                (Array.make (Alloc.n_procs alloc) (cfg ~cpu:0 ~nic:0 ()))
+            in
+            (* P0 reads its first object from a server that does not
+               exist; P1 loses its first download. *)
+            let n_servers = Insp.Servers.n_servers platform.Insp.Platform.servers in
+            let broken =
+              Alloc.make
+                (Array.mapi
+                   (fun u p ->
+                     match (u, p.Alloc.downloads) with
+                     | 0, (k, _) :: rest ->
+                       { p with Alloc.downloads = (k, n_servers) :: rest }
+                     | 1, _ :: rest -> { p with Alloc.downloads = rest }
+                     | _ -> p)
+                   (Alloc.procs alloc))
+            in
+            agree platform alloc && agree platform cheapest
+            && agree starved cheapest && agree platform broken)
+        Insp.Solve.all)
+
 (* ------------------------------------------------------------------ *)
 (* Dag_place                                                           *)
 
@@ -275,6 +360,79 @@ let test_dag_runtime_rejects_mixed_rates () =
       (Invalid_argument "Dag_runtime.run: mixed node rates are not supported")
       (fun () ->
         ignore (Insp.Dag_runtime.run dag platform o.Insp.Dag_place.alloc))
+
+(* Node a feeds two consumers on P1: the DES must send its result once
+   per destination, as the checker accounts it.  The P0-P1 link carries
+   the one 30 MB/s stream but not two. *)
+let test_dag_runtime_one_stream_per_destination () =
+  let b = Dag.create_builder ~n_object_types:3 in
+  let a = Dag.add_node b ~inputs:[ Dag.Object 0; Dag.Object 1 ] in
+  let c1 = Dag.add_node b ~inputs:[ Dag.Node a; Dag.Object 2 ] in
+  let c2 = Dag.add_node b ~inputs:[ Dag.Node a ] in
+  let dag =
+    Dag.finish b ~objects:(objects3 ()) ~alpha:1.0
+      ~roots:[ (c1, 1.0); (c2, 1.0) ]
+      ()
+  in
+  let platform =
+    { (Helpers.tiny_platform ()) with Insp.Platform.proc_link = 40.0 }
+  in
+  let alloc =
+    Alloc.make
+      [|
+        { Alloc.config = cfg (); operators = [ a ]; downloads = [ (0, 0); (1, 0) ] };
+        { Alloc.config = cfg (); operators = [ c1; c2 ]; downloads = [ (2, 1) ] };
+      |]
+  in
+  Alcotest.(check string) "feasible" "feasible"
+    (Check.explain (Dag_check.check dag platform alloc));
+  let r = Insp.Dag_runtime.run ~horizon:120.0 dag platform alloc in
+  Alcotest.(check bool)
+    (Printf.sprintf "sustains (achieved %.3f)" r.Insp.Runtime.achieved_throughput)
+    true
+    (Insp.Dag_runtime.sustains_target r)
+
+(* dag_runtime.golden was recorded with the DAG-specific event loop that
+   the shared Runtime loop replaced.  Integer fields and verdicts must
+   match exactly; floats up to 1e-9 relative, since fair-share
+   tie-breaks and the order download_delivered is summed in may
+   differ. *)
+let test_dag_runtime_golden () =
+  let ic = open_in_bin "dag_runtime.golden" in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        In_channel.input_all ic |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "" && l.[0] <> '#'))
+  in
+  Alcotest.(check bool) "golden has cases" true (lines <> []);
+  List.iter
+    (fun line ->
+      Scanf.sscanf line
+        "%d %d events=%d results_completed=%d sustains_target=%B \
+         achieved_throughput=%h download_delivered=%h"
+        (fun seed n_apps events completed sustains achieved delivered ->
+          let apps, platform = MW.instance ~seed ~n_apps ~n_operators:15 in
+          let dag = Cse.share_apps apps in
+          match Dag_place.run dag platform with
+          | Error f -> Alcotest.fail (Dag_place.failure_message f)
+          | Ok o ->
+            let r =
+              Insp.Dag_runtime.run ~horizon:240.0 dag platform
+                o.Dag_place.alloc
+            in
+            let name what = Printf.sprintf "seed %d apps %d: %s" seed n_apps what in
+            Alcotest.(check int) (name "events") events r.Insp.Runtime.events;
+            Alcotest.(check int) (name "results_completed") completed
+              r.Insp.Runtime.results_completed;
+            Alcotest.(check bool) (name "sustains_target") sustains
+              (Insp.Dag_runtime.sustains_target r);
+            Helpers.alco_float (name "achieved_throughput") achieved
+              r.Insp.Runtime.achieved_throughput;
+            Helpers.alco_float (name "download_delivered") delivered
+              r.Insp.Runtime.download_delivered))
+    lines
 
 let dag_mappings_sustain_in_execution =
   qtest ~count:12 "feasible DAG mappings sustain every application's rho"
@@ -358,6 +516,7 @@ let () =
           Alcotest.test_case "stream dedup" `Quick test_dag_check_stream_dedup;
           Alcotest.test_case "rate-weighted compute" `Quick
             test_dag_check_rate_weighted_compute;
+          tree_check_is_one_app_dag_check;
         ] );
       ( "dag_place",
         [
@@ -371,6 +530,9 @@ let () =
           Alcotest.test_case "mixed rates rejected" `Quick
             test_dag_runtime_rejects_mixed_rates;
           dag_mappings_sustain_in_execution;
+          Alcotest.test_case "one stream per destination" `Quick
+            test_dag_runtime_one_stream_per_destination;
+          Alcotest.test_case "golden reports" `Quick test_dag_runtime_golden;
         ] );
       ( "workload",
         [
