@@ -321,7 +321,8 @@ let run_impl ?window ?(horizon = 80.0) ?warmup ?(kernel = `Incremental)
             if ready limit op then
               match !best with
               | Some b
-                when (completed.(b), b) <= (completed.(op), op) -> ()
+                when completed.(b) < completed.(op)
+                     || (completed.(b) = completed.(op) && b <= op) -> ()
               | _ -> best := Some op)
           (Alloc.operators_of alloc u);
         match !best with
