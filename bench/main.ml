@@ -10,11 +10,8 @@
 
    For every table and figure of the paper's evaluation (see DESIGN.md
    §4) this prints the regenerated series as a text table plus a CSV
-   block, then runs one bechamel micro-benchmark per experiment timing
-   the code that backs it. *)
-
-open Bechamel
-open Toolkit
+   block, then the timed rows (journal overhead, serve, faults, lint,
+   probe throughput, scale and allocation) that --json records. *)
 
 let line title =
   Printf.printf "\n======== %s ========\n%!" title
@@ -124,133 +121,6 @@ let run_ablations ~quick () =
       Printf.printf "\n-- %s --\n%!" id;
       print_string (render ~quick))
     Insp_experiments.Ablations.all
-
-(* ------------------------------------------------------------------ *)
-(* Feasibility-probe throughput: ledger vs from-scratch                *)
-
-(* The pre-ledger prober, kept here as the baseline: every probe
-   recomputes [Demand.of_group] over the candidate member set and the
-   pairwise flow towards *every* live group with [List.mem] membership
-   scans. *)
-module Naive_probe = struct
-  module App = Insp.App
-  module Optree = Insp.Optree
-
-  type group = { mutable members : int list; cfg : Insp.Catalog.config }
-
-  let tolerance = 1e-9
-  let leq v cap = v <= (cap *. (1.0 +. tolerance)) +. tolerance
-
-  let flow_between app g h =
-    let tree = App.tree app and rho = App.rho app in
-    List.fold_left
-      (fun acc m ->
-        let acc =
-          List.fold_left
-            (fun acc c ->
-              if List.mem c h then acc +. (rho *. App.output_size app c)
-              else acc)
-            acc (Optree.children tree m)
-        in
-        match Optree.parent tree m with
-        | Some p when List.mem p h -> acc +. (rho *. App.output_size app m)
-        | Some _ | None -> acc)
-      0.0 g
-
-  let can_host app platform groups ~self ~cfg ~members =
-    Insp.Demand.fits cfg (Insp.Demand.of_group app members)
-    && List.for_all
-         (fun g ->
-           g == self
-           || leq (flow_between app members g.members)
-                platform.Insp.Platform.proc_link)
-         groups
-end
-
-(* Identical greedy first-fit constructions, one per prober, counting
-   feasibility probes.  Returns (probes, groups built). *)
-let greedy_naive app platform =
-  let best = Insp.Catalog.best platform.Insp.Platform.catalog in
-  let dummy = { Naive_probe.members = []; cfg = best } in
-  let groups = ref [] in
-  let probes = ref 0 in
-  for i = 0 to Insp.App.n_operators app - 1 do
-    let placed =
-      List.exists
-        (fun g ->
-          incr probes;
-          if
-            Naive_probe.can_host app platform !groups ~self:g
-              ~cfg:g.Naive_probe.cfg
-              ~members:(i :: g.Naive_probe.members)
-          then begin
-            g.Naive_probe.members <- i :: g.Naive_probe.members;
-            true
-          end
-          else false)
-        !groups
-    in
-    if not placed then begin
-      incr probes;
-      if
-        Naive_probe.can_host app platform !groups ~self:dummy ~cfg:best
-          ~members:[ i ]
-      then groups := !groups @ [ { Naive_probe.members = [ i ]; cfg = best } ]
-    end
-  done;
-  (!probes, List.length !groups)
-
-let greedy_ledger app platform =
-  let best = Insp.Catalog.best platform.Insp.Platform.catalog in
-  let b = Insp.Builder.create app platform in
-  let probes = ref 0 in
-  for i = 0 to Insp.App.n_operators app - 1 do
-    let placed =
-      List.exists
-        (fun gid ->
-          incr probes;
-          Insp.Builder.try_add b gid i)
-        (Insp.Builder.group_ids b)
-    in
-    if not placed then begin
-      incr probes;
-      ignore (Insp.Builder.acquire b ~config:best ~members:[ i ])
-    end
-  done;
-  (!probes, List.length (Insp.Builder.group_ids b))
-
-let run_probe_bench ~quick () =
-  line "feasibility-probe throughput (ledger vs from-scratch)";
-  let inst =
-    Insp.Instance.generate
-      (Insp.Config.make ~n_operators:100 ~alpha:0.9 ~seed:1 ())
-  in
-  let app = inst.Insp.Instance.app in
-  let platform = inst.Insp.Instance.platform in
-  let reps = if quick then 5 else 30 in
-  let time f =
-    let t0 = Sys.time () in
-    let probes = ref 0 and groups = ref 0 in
-    for _ = 1 to reps do
-      let p, g = f app platform in
-      probes := p;
-      groups := g
-    done;
-    let dt = Sys.time () -. t0 in
-    (float_of_int (!probes * reps) /. Float.max dt 1e-9, !probes, !groups)
-  in
-  let tput_naive, probes_n, groups_n = time greedy_naive in
-  let tput_ledger, probes_l, groups_l = time greedy_ledger in
-  Printf.printf
-    "from-scratch: %9.0f probes/s  (%d probes, %d groups per build)\n\
-     ledger:       %9.0f probes/s  (%d probes, %d groups per build)\n\
-     speedup:      %9.1fx\n%!"
-    tput_naive probes_n groups_n tput_ledger probes_l groups_l
-    (tput_ledger /. tput_naive);
-  if groups_n <> groups_l || probes_n <> probes_l then
-    Printf.printf
-      "WARNING: probers diverged (probes %d vs %d, groups %d vs %d)\n%!"
-      probes_n probes_l groups_n groups_l
 
 (* ------------------------------------------------------------------ *)
 (* Scale rows: the candidate-queue greedy on 10k/100k-operator trees    *)
@@ -408,10 +278,34 @@ let alloc_serve_entry ~quick () =
     (minor /. float_of_int (max 1 n_events));
   ("alloc.serve_1k", wall_s, recorder)
 
-(* Ledger probe throughput at scale, as a tracked JSON row
-   (run_probe_bench below prints the ledger-vs-naive comparison on a
-   paper-sized instance; this row sizes the ledger path alone on a
-   scale-preset tree). *)
+(* ------------------------------------------------------------------ *)
+(* Ledger probe throughput                                            *)
+
+(* Greedy first fit in operator-id order: each operator is probed
+   against every live group, else gets a new most-expensive processor.
+   Returns (probes, groups built).  test_ledger checks the same
+   construction's verdicts against a from-scratch prober. *)
+let greedy_ledger app platform =
+  let best = Insp.Catalog.best platform.Insp.Platform.catalog in
+  let b = Insp.Builder.create app platform in
+  let probes = ref 0 in
+  for i = 0 to Insp.App.n_operators app - 1 do
+    let placed =
+      List.exists
+        (fun gid ->
+          incr probes;
+          Insp.Builder.try_add b gid i)
+        (Insp.Builder.group_ids b)
+    in
+    if not placed then begin
+      incr probes;
+      ignore (Insp.Builder.acquire b ~config:best ~members:[ i ])
+    end
+  done;
+  (!probes, List.length (Insp.Builder.group_ids b))
+
+(* Ledger probe throughput on a scale-preset tree, as a tracked JSON
+   row. *)
 let probe_throughput_entry ~quick () =
   line "probe throughput (ledger greedy first-fit, scale preset)";
   let n = if quick then 500 else 2000 in
@@ -438,11 +332,11 @@ let probe_throughput_entry ~quick () =
   ("probe.throughput", wall_s, recorder)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment             *)
+(* Paper-style instance shared by the rows below                      *)
 
-let fixed_instance ?(n = 60) ?(alpha = 0.9) ?sizes ?freq () =
+let fixed_instance n =
   Insp.Instance.generate
-    (Insp.Config.make ~n_operators:n ~alpha ?sizes ?freq ~seed:1 ())
+    (Insp.Config.make ~n_operators:n ~alpha:0.9 ~seed:1 ())
 
 (* ------------------------------------------------------------------ *)
 (* Journal recording overhead: the zero-cost-when-off claim             *)
@@ -453,7 +347,7 @@ let fixed_instance ?(n = 60) ?(alpha = 0.9) ?sizes ?freq () =
    bench-compare tracks it across commits. *)
 let journal_overhead_entry ~quick () =
   line "journal overhead (no sink vs recording)";
-  let inst = fixed_instance ~n:30 () in
+  let inst = fixed_instance 30 in
   let work () =
     ignore
       (Insp.Solve.run_all ~seed:1 inst.Insp.Instance.app
@@ -533,7 +427,7 @@ let serve_entry ~quick () =
 let faults_repair_entry ~quick () =
   line "fault repair loop (crash/repair cycles, no DES)";
   let n_events = if quick then 60 else 500 in
-  let inst = fixed_instance ~n:40 () in
+  let inst = fixed_instance 40 in
   let alloc =
     match
       Insp.Solve.run ~seed:1
@@ -576,7 +470,7 @@ let faults_repair_entry ~quick () =
 let faults_frontier_entry ~quick () =
   line "redundancy frontier (K=1 hardening)";
   let n = if quick then 20 else 40 in
-  let inst = fixed_instance ~n () in
+  let inst = fixed_instance n in
   let alloc =
     match
       Insp.Solve.run ~seed:1
@@ -625,15 +519,25 @@ let lint_entry ~quick:_ () =
   let deep, units =
     match Insp_lint.Cmt_loader.load ~root:"_build/default" () with
     | loaded ->
+      let under_roots file =
+        List.exists (fun r -> String.starts_with ~prefix:(r ^ "/") file) roots
+      in
       let findings =
         Insp_lint.Deep.analyze (Insp_lint.Callgraph.build loaded)
-        |> List.filter (fun f ->
-               List.exists
-                 (fun r ->
-                   String.starts_with ~prefix:(r ^ "/") f.Insp_lint.Rule.file)
-                 roots)
+        |> List.filter (fun f -> under_roots f.Insp_lint.Rule.file)
       in
-      (findings, List.length loaded.Insp_lint.Cmt_loader.units)
+      (* only the units of the linted roots: other builds that share
+         _build (perfbench, scratch executables) must not move the
+         counter *)
+      let units =
+        List.filter
+          (fun (u : Insp_lint.Cmt_loader.unit_info) ->
+            List.exists
+              (Option.fold ~none:false ~some:under_roots)
+              [ u.src; u.intf_src ])
+          loaded.Insp_lint.Cmt_loader.units
+      in
+      (findings, List.length units)
     | exception Insp_lint.Cmt_loader.Cmt_error _ -> ([], 0)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -645,124 +549,6 @@ let lint_entry ~quick:_ () =
   Insp.Obs_metrics.incr ~by:findings m "lint.findings";
   Insp.Obs_metrics.incr ~by:units m "lint.units";
   ("lint.full_repo", wall_s, recorder)
-
-let solve_suite inst () =
-  ignore
-    (Insp.Solve.run_all ~seed:1 inst.Insp.Instance.app
-       inst.Insp.Instance.platform)
-
-let bench_tests () =
-  let fig2a_inst = fixed_instance () in
-  let fig2b_inst = fixed_instance ~alpha:1.7 () in
-  let fig3_inst = fixed_instance ~alpha:1.5 () in
-  let large_inst = fixed_instance ~n:30 ~sizes:Insp.Config.Large () in
-  let lowfreq_inst = fixed_instance ~freq:Insp.Config.Low () in
-  let rates_inst = Insp.Instance.with_frequency (fixed_instance ()) 0.1 in
-  let ilp_inst =
-    Insp.Instance.homogeneous (fixed_instance ~n:10 ()) ~cpu_index:4
-      ~nic_index:3
-  in
-  let sim_alloc =
-    let inst = fixed_instance ~n:30 () in
-    match
-      Insp.Solve.run ~seed:1
-        (Option.get (Insp.Solve.find "sbu"))
-        inst.Insp.Instance.app inst.Insp.Instance.platform
-    with
-    | Ok o -> (inst, o.Insp.Solve.alloc)
-    | Error f -> failwith (Insp.Solve.failure_message f)
-  in
-  [
-    Test.make ~name:"fig2a: heuristic suite, N=60 a=0.9"
-      (Staged.stage (solve_suite fig2a_inst));
-    Test.make ~name:"fig2b: heuristic suite, N=60 a=1.7"
-      (Staged.stage (solve_suite fig2b_inst));
-    Test.make ~name:"fig3: heuristic suite, N=60 a=1.5"
-      (Staged.stage (solve_suite fig3_inst));
-    Test.make ~name:"large: heuristic suite, N=30 large objects"
-      (Staged.stage (solve_suite large_inst));
-    Test.make ~name:"lowfreq: heuristic suite, N=60 f=1/50"
-      (Staged.stage (solve_suite lowfreq_inst));
-    Test.make ~name:"rates: heuristic suite, N=60 f=1/10"
-      (Staged.stage (solve_suite rates_inst));
-    Test.make ~name:"ilp: exact B&B, N=10 homogeneous"
-      (Staged.stage (fun () ->
-           ignore
-             (Insp.Exact.solve ~node_limit:200_000 ilp_inst.Insp.Instance.app
-                ilp_inst.Insp.Instance.platform)));
-    Test.make ~name:"sharing: CSE + DAG placement, 3 apps of N=20"
-      (Staged.stage (fun () ->
-           let apps, platform =
-             Insp.Multi_workload.instance ~seed:1 ~n_apps:3 ~n_operators:20
-           in
-           ignore (Insp.Dag_place.run (Insp.Cse.share_apps apps) platform)));
-    Test.make ~name:"rewrite: hill-climb over shapes, N=12"
-      (Staged.stage (fun () ->
-           let inst =
-             Insp.Instance.generate
-               (Insp.Config.make ~n_operators:12 ~alpha:1.4 ~seed:1 ())
-           in
-           let evaluate tree =
-             let app =
-               Insp.App.make ~base_work:8000.0 ~work_factor:0.19 ~tree
-                 ~objects:(Insp.App.objects inst.Insp.Instance.app)
-                 ~alpha:1.4 ()
-             in
-             match
-               Insp.Solve.run ~seed:1
-                 (Option.get (Insp.Solve.find "sbu"))
-                 app inst.Insp.Instance.platform
-             with
-             | Ok o -> Some o.Insp.Solve.cost
-             | Error _ -> None
-           in
-           ignore
-             (Insp.Rewrite.optimize (Insp.Prng.create 1) ~evaluate
-                (Insp.App.tree inst.Insp.Instance.app))));
-    Test.make ~name:"replication: heuristic suite, 2 copies"
-      (Staged.stage (fun () ->
-           let inst =
-             Insp.Instance.generate
-               (Insp.Config.make ~n_operators:40 ~min_copies:2 ~max_copies:2
-                  ~seed:1 ())
-           in
-           ignore
-             (Insp.Solve.run_all ~seed:1 inst.Insp.Instance.app
-                inst.Insp.Instance.platform)));
-    Test.make ~name:"simcheck: DES run, N=30, 20 s horizon"
-      (Staged.stage (fun () ->
-           let inst, alloc = sim_alloc in
-           ignore
-             (Insp.Runtime.run ~horizon:20.0 ~warmup:5.0
-                inst.Insp.Instance.app inst.Insp.Instance.platform alloc)));
-    Test.make ~name:"catalog: cheapest_satisfying lookup"
-      (Staged.stage (fun () ->
-           ignore
-             (Insp.Catalog.cheapest_satisfying Insp.Catalog.dell_2008
-                ~speed:20000.0 ~bandwidth:400.0)));
-  ]
-
-let run_benchmarks () =
-  line "bechamel micro-benchmarks (one per experiment)";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ time_per_run ] ->
-            Printf.printf "%-45s %12.1f us/run\n%!" name (time_per_run /. 1e3)
-          | Some _ | None -> Printf.printf "%-45s (no estimate)\n%!" name)
-        results)
-    (bench_tests ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -824,6 +610,4 @@ let () =
     summarize_rankings ~quick ();
     run_ablations ~quick ()
   end;
-  run_probe_bench ~quick ();
-  run_benchmarks ();
   print_newline ()

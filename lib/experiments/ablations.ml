@@ -2,7 +2,7 @@ module Config = Insp_workload.Config
 module Instance = Insp_workload.Instance
 module Solve = Insp_heuristics.Solve
 module Builder = Insp_heuristics.Builder
-module Common = Insp_heuristics.Common
+module H_subtree = Insp_heuristics.H_subtree
 module H_comm_greedy = Insp_heuristics.H_comm_greedy
 module Server_select = Insp_heuristics.Server_select
 module Downgrade = Insp_heuristics.Downgrade
@@ -99,10 +99,12 @@ let grouping_rounds ?(seeds = default_seeds) ?(ns = [ 60; 100; 140 ]) () =
         let inst =
           Instance.generate (Config.make ~n_operators:n ~alpha:0.9 ~seed ())
         in
-        Common.with_collapse_rounds rounds (fun () ->
-            match Solve.run ~seed sbu inst.Instance.app inst.Instance.platform with
-            | Ok o -> Some o.Solve.cost
-            | Error _ -> None)
+        let h =
+          { sbu with Solve.run = H_subtree.run ~grouping_rounds:rounds }
+        in
+        match Solve.run ~seed h inst.Instance.app inst.Instance.platform with
+        | Ok o -> Some o.Solve.cost
+        | Error _ -> None
       in
       let one = List.map (run 1) seeds in
       let eight = List.map (run 8) seeds in
@@ -143,10 +145,12 @@ let merge_sweeps ?(seeds = default_seeds)
           Instance.generate
             (Config.make ~n_operators:n ~alpha:0.9 ~sizes ~seed ())
         in
-        H_comm_greedy.with_merge_sweeps enabled (fun () ->
-            match Solve.run ~seed comm inst.Instance.app inst.Instance.platform with
-            | Ok o -> Some o.Solve.cost
-            | Error _ -> None)
+        let h =
+          { comm with Solve.run = H_comm_greedy.run ~merge_sweeps:enabled }
+        in
+        match Solve.run ~seed h inst.Instance.app inst.Instance.platform with
+        | Ok o -> Some o.Solve.cost
+        | Error _ -> None
       in
       let off = List.filter_map (run false) seeds in
       let on = List.filter_map (run true) seeds in

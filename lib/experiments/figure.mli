@@ -30,9 +30,6 @@ val cell_of_costs : attempts:int -> float list -> cell
 val render : t -> string
 (** Aligned text table followed by a CSV block. *)
 
-(* lint: allow t3 — alternative CSV export kept alongside the JSON figure path *)
-val to_csv : t -> Insp_util.Csv.t
-
 val series_names : t -> string list
 (** Column order of the first point. *)
 

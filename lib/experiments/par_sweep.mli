@@ -21,11 +21,6 @@
 
     See DESIGN.md §11. *)
 
-(* lint: allow t3 — documented default for manual sweep parallelism *)
-val default_jobs : unit -> int
-(** Ambient worker count for {!map} when [?jobs] is omitted; 1 unless
-    inside {!with_jobs}.  Domain-local. *)
-
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs n f] runs [f] with the ambient worker count set to [n]
     (restored afterwards, also on exceptions).  This is how [--jobs]
@@ -38,7 +33,8 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     on a fresh domain and must not depend on ambient mutable state
     other than the observability sink.  If any cell raises, all workers
     are still joined and the lowest-indexed cell's exception is
-    re-raised.  Defaults to {!default_jobs}. *)
+    re-raised.  Defaults to the ambient worker count: 1 unless inside
+    {!with_jobs}. *)
 
 val map_seeded :
   ?jobs:int -> seed:int -> (Insp_util.Prng.t -> 'a -> 'b) -> 'a list -> 'b list

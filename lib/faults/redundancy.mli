@@ -49,12 +49,3 @@ val survives :
 val subsets : k:int -> int -> int list list
 (** All [k]-subsets of [{0..n-1}], lexicographic.  Exposed for the
     property tests. *)
-
-(* lint: allow t3 — exhaustive-search probe used by tests and tooling *)
-val first_failing :
-  Insp_tree.App.t ->
-  Insp_platform.Platform.t ->
-  Insp_mapping.Alloc.t ->
-  k:int ->
-  int list option
-(** First (lex) failure set a migration-only repair cannot absorb. *)

@@ -324,23 +324,6 @@ let try_absorb_upgrade t winner loser =
            { winner; loser; upgrade = Some (Catalog.label cfg) });
     count_absorb true
 
-let sell_if_empty t gid =
-  if Ledger.mem_proc t.ledger gid && Ledger.operators_of t.ledger gid = []
-  then sell t gid
-
-let release_operator t op =
-  match Ledger.assignment t.ledger op with
-  | None -> ()
-  | Some gid ->
-    Ledger.remove_operator t.ledger op;
-    sell_if_empty t gid
-
-let set_config t gid cfg =
-  check_live t gid;
-  Ledger.set_config t.ledger gid cfg;
-  if Obs.journaling () then
-    Obs.event (Journal.Reconfig { gid; config = Catalog.label cfg })
-
 let finalize t =
   if not (all_assigned t) then
     Error "placement incomplete: some operators remain unassigned"

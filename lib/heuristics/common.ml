@@ -5,28 +5,6 @@ module Platform = Insp_platform.Platform
 
 type style = [ `Best | `Cheapest ]
 
-let comm_partner app op =
-  let tree = App.tree app in
-  let rho = App.rho app in
-  let candidates =
-    List.map
-      (fun c -> (c, rho *. App.output_size app c))
-      (Optree.children tree op)
-    @
-    match Optree.parent tree op with
-    | None -> []
-    | Some p -> [ (p, rho *. App.output_size app op) ]
-  in
-  match candidates with
-  | [] -> None
-  | first :: rest ->
-    let best =
-      List.fold_left
-        (fun (bi, bw) (i, w) -> if w > bw then (i, w) else (bi, bw))
-        first rest
-    in
-    Some (fst best)
-
 let by_work_desc app ops =
   List.sort
     (fun a b ->
@@ -87,17 +65,10 @@ let heaviest_outside_neighbor app members =
    paper describes a single pairing round; iterating is its natural
    completion and is required when a chain of tree edges each exceeds the
    processor-link bandwidth, which forces more than two operators onto
-   one machine.  The round budget is a mutable knob so the ablation
-   bench can measure the paper's single-round variant. *)
-let collapse_rounds = ref 8
-
-let with_collapse_rounds n f =
-  if n < 1 then invalid_arg "Common.with_collapse_rounds: n >= 1";
-  let saved = !collapse_rounds in
-  collapse_rounds := n;
-  Fun.protect ~finally:(fun () -> collapse_rounds := saved) f
-
-let acquire_with_grouping ?(on_release = fun _ -> ()) b ~style op =
+   one machine.  The round budget is an argument so the ablation table
+   can measure the paper's single-round variant. *)
+let acquire_with_grouping ?(on_release = fun _ -> ()) ?(rounds = 8) b ~style
+    op =
   let app = Builder.app b in
   let rec grow members rounds =
     match acquire_for b ~style members with
@@ -116,7 +87,7 @@ let acquire_with_grouping ?(on_release = fun _ -> ()) b ~style op =
           | None -> ());
           grow (neighbor :: members) (rounds - 1))
   in
-  grow [ op ] !collapse_rounds
+  grow [ op ] rounds
 
 let object_set app i =
   List.sort_uniq compare (Optree.leaves (App.tree app) i)

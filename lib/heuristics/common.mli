@@ -5,12 +5,6 @@ type style = [ `Best | `Cheapest ]
     the catalog's most expensive one (later downgraded) or the cheapest
     one that can host the operators. *)
 
-(* lint: allow t3 — mirrors the paper's operator-pairing notation; kept for parity *)
-val comm_partner : Insp_tree.App.t -> int -> int option
-(** The neighbour (operator child or parent) of an operator with the most
-    demanding communication requirement on the connecting tree edge;
-    [None] for an isolated root with no operator children. *)
-
 val by_work_desc : Insp_tree.App.t -> int list -> int list
 (** Sort operators by non-increasing [w_i] (ties by id for
     determinism). *)
@@ -27,14 +21,16 @@ val acquire_for :
 
 val acquire_with_grouping :
   ?on_release:(int -> unit) ->
+  ?rounds:int ->
   Builder.t -> style:style -> int -> (Builder.group_id, string) result
 (** The paper's grouping fallback (Random / Comp-Greedy), applied
     iteratively: buy a processor for [op]; while that fails, pull in the
     candidate set's most communication-demanding neighbour — selling the
     neighbour's current processor if it had one (its co-located operators
-    return to the unassigned pool) — and retry, up to a bounded number of
-    rounds.  Iteration (vs the paper's single pairing) is required when a
-    chain of tree edges each exceeds the processor-link bandwidth.
+    return to the unassigned pool) — and retry, up to [rounds] times
+    (default 8; 1 is the paper's single pairing step).  Iteration is
+    required when a chain of tree edges each exceeds the processor-link
+    bandwidth.
     [on_release] is called once per operator returned to the unassigned
     pool by a sell, after the sell committed — the candidate-queue
     heuristics use it to re-stamp and re-enqueue resurrected
@@ -42,9 +38,3 @@ val acquire_with_grouping :
 
 val object_set : Insp_tree.App.t -> int -> int list
 (** Distinct object types operator [i] downloads. *)
-
-val with_collapse_rounds : int -> (unit -> 'a) -> 'a
-(** Run a thunk with the grouping fallback limited to the given number
-    of rounds (1 = the paper's single pairing step; default 8).  For the
-    ablation bench; restores the previous value on exit.  Not
-    thread-safe. *)

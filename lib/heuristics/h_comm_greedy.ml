@@ -38,25 +38,6 @@ let place_single_next_to b ~host ~op =
     | Ok _ -> Ok ()
     | Error e -> Error e
 
-(* Ablation knob: disable the merge sweeps to measure the paper's
-   literal one-pass edge processing.  Not thread-safe. *)
-let merge_sweeps_enabled = ref true
-
-let with_merge_sweeps enabled f =
-  let saved = !merge_sweeps_enabled in
-  merge_sweeps_enabled := enabled;
-  Fun.protect ~finally:(fun () -> merge_sweeps_enabled := saved) f
-
-(* Ablation knob: disable the per-edge failed-probe cache below and
-   re-probe every cross-processor edge on every sweep, like the legacy
-   implementation.  Not thread-safe. *)
-let probe_cache_enabled = ref true
-
-let with_probe_cache enabled f =
-  let saved = !probe_cache_enabled in
-  probe_cache_enabled := enabled;
-  Fun.protect ~finally:(fun () -> probe_cache_enabled := saved) f
-
 (* Case (iii) of the paper: for edges whose endpoints ended up on two
    different processors, try to accommodate both groups on one processor
    and sell the other.  Processing edges heaviest-first means both
@@ -70,12 +51,12 @@ let with_probe_cache enabled f =
    groups' generation stamps (Ledger.generation).  Caching the failed
    [(group, stamp)] pair per edge therefore skips exactly the probes
    that cannot fire, making each quiescent sweep O(live edges) instead
-   of O(edges × probe). *)
-let merge_sweeps b app edges =
+   of O(edges × probe).  test/oracles.ml keeps the uncached sweep as the
+   reference the cached one must match. *)
+let sweep_merges b app edges =
   let led = Builder.ledger b in
   let edges = Array.of_list edges in
   let failed = Array.make (Array.length edges) (-1, -1, -1, -1) in
-  let use_cache = !probe_cache_enabled in
   let rec sweep budget =
     if budget > 0 then begin
       let changed = ref false in
@@ -86,7 +67,7 @@ let merge_sweeps b app edges =
             let key =
               (gi, Ledger.generation led gi, gp, Ledger.generation led gp)
             in
-            if use_cache && failed.(idx) = key then ()
+            if failed.(idx) = key then ()
             else if
               Builder.try_absorb_upgrade b gi gp
               || Builder.try_absorb_upgrade b gp gi
@@ -99,7 +80,7 @@ let merge_sweeps b app edges =
   in
   sweep (App.n_operators app)
 
-let run _rng app platform =
+let run ?(merge_sweeps = true) _rng app platform =
   let b = Builder.create app platform in
   let rec handle = function
     | [] -> Ok ()
@@ -122,7 +103,7 @@ let run _rng app platform =
   match handle edges with
   | Error e -> Error e
   | Ok () -> (
-    if !merge_sweeps_enabled then merge_sweeps b app edges;
+    if merge_sweeps then sweep_merges b app edges;
     (* Only a single-operator tree has no edges; place any leftover. *)
     match Builder.unassigned b with
     | [] -> Ok b

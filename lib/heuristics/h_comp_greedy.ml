@@ -2,40 +2,6 @@ module App = Insp_tree.App
 module Demand = Insp_mapping.Demand
 module Catalog = Insp_platform.Catalog
 
-(* Ablation knob: fall back to the legacy scan-everything loop (resort
-   the unassigned pool every round, probe every candidate during fill).
-   The queue path commits the exact same placement sequence; only the
-   probe/journal noise of certainly-infeasible candidates differs.  Not
-   thread-safe. *)
-let candidate_queue_enabled = ref true
-
-let with_candidate_queue enabled f =
-  let saved = !candidate_queue_enabled in
-  candidate_queue_enabled := enabled;
-  Fun.protect ~finally:(fun () -> candidate_queue_enabled := saved) f
-
-let run_scan _rng app platform =
-  let b = Builder.create app platform in
-  (* The grouping fallback can sell a processor and release its
-     operators, so bound the number of rounds to guarantee
-     termination. *)
-  let budget = ref ((App.n_operators app * App.n_operators app) + 16) in
-  let rec loop () =
-    match Common.by_work_desc app (Builder.unassigned b) with
-    | [] -> Ok b
-    | heaviest :: _ ->
-      decr budget;
-      if !budget <= 0 then
-        Error "placement did not converge (grouping fallback oscillates)"
-      else (
-        match Common.acquire_with_grouping b ~style:`Best heaviest with
-        | Error e -> Error e
-        | Ok gid ->
-          Common.fill b gid (Common.by_work_desc app (Builder.unassigned b));
-          loop ())
-  in
-  loop ()
-
 (* Same tolerance/comparison as Demand.fits, so the compute-capacity
    fast-forward below skips a candidate exactly when the probe would
    reject it on the compute branch. *)
@@ -43,17 +9,19 @@ let tolerance = 1e-9
 
 let leq value capacity = value <= (capacity *. (1.0 +. tolerance)) +. tolerance
 
-(* Candidate-queue variant: the round seeds come from a lazy-deletion
-   max-heap stamped with per-operator resurrection generations, and the
-   fill walk follows the static work-descending permutation through a
-   path-compressed rank walker, binary-searching past the prefix whose
-   compute demand alone already exceeds the group's remaining CPU
-   capacity (those candidates are rejected by the probe without reading
-   any other state, so skipping them cannot change the placement).
-   Candidates that pass the fast-forward are probed exactly like the
-   scan path, in the same order, so the commit sequence — and therefore
-   the resulting allocation — is identical. *)
-let run_queue _rng app platform =
+(* The round seeds come from a lazy-deletion max-heap stamped with
+   per-operator resurrection generations, and the fill walk follows the
+   static work-descending permutation through a path-compressed rank
+   walker, binary-searching past the prefix whose compute demand alone
+   already exceeds the group's remaining CPU capacity (those candidates
+   are rejected by the probe without reading any other state, so
+   skipping them cannot change the placement).  Candidates that pass the
+   fast-forward are probed exactly like the paper's scan-everything loop
+   (resort the unassigned pool every round, probe every candidate during
+   fill), in the same order, so the commit sequence — and therefore the
+   resulting allocation — is identical; test/oracles.ml keeps that loop
+   as the reference. *)
+let run _rng app platform =
   let b = Builder.create app platform in
   let n = App.n_operators app in
   let rho = App.rho app in
@@ -143,7 +111,3 @@ let run_queue _rng app platform =
       end
   in
   loop ()
-
-let run rng app platform =
-  if !candidate_queue_enabled then run_queue rng app platform
-  else run_scan rng app platform

@@ -54,7 +54,10 @@ let absorb_parents b app gid =
   pass ();
   !progressed
 
-let run _rng app platform =
+let run ?grouping_rounds _rng app platform =
+  Option.iter
+    (fun r -> if r < 1 then invalid_arg "H_subtree.run: grouping_rounds >= 1")
+    grouping_rounds;
   let b = Builder.create app platform in
   let tree = App.tree app in
   let rec assign_al = function
@@ -177,7 +180,10 @@ let run _rng app platform =
             place ()
           end
           else
-            match Common.acquire_with_grouping b ~style:`Best op with
+            match
+              Common.acquire_with_grouping ?rounds:grouping_rounds b
+                ~style:`Best op
+            with
             | Ok gid ->
               ignore (absorb_parents b app gid);
               place ()

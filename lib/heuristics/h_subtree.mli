@@ -12,7 +12,12 @@
     trying its children's processors before buying). *)
 
 val run :
+  ?grouping_rounds:int ->
   Insp_util.Prng.t ->
   Insp_tree.App.t ->
   Insp_platform.Platform.t ->
   (Builder.t, string) result
+(** [grouping_rounds] bounds the grouping fallback used for leftover
+    operators (see {!Common.acquire_with_grouping}; default 8, 1 is the
+    paper's single pairing step).  Raises [Invalid_argument] when it is
+    below 1. *)

@@ -15,6 +15,10 @@ type heuristic = {
   randomized : bool;
 }
 
+(* Comm-Greedy and Subtree-bottom-up take an optional ablation argument.
+   Their entries apply all three arguments at once: a bare
+   [H_comm_greedy.run] would be wrapped in a one-argument closure that
+   allocates a partial application on every solve. *)
 let all =
   [
     { name = "Random"; key = "random"; run = H_random.run; randomized = true };
@@ -27,13 +31,13 @@ let all =
     {
       name = "Comm-Greedy";
       key = "comm";
-      run = H_comm_greedy.run;
+      run = (fun rng app platform -> H_comm_greedy.run rng app platform);
       randomized = false;
     };
     {
       name = "Subtree-bottom-up";
       key = "sbu";
-      run = H_subtree.run;
+      run = (fun rng app platform -> H_subtree.run rng app platform);
       randomized = false;
     };
     {

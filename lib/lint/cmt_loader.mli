@@ -30,10 +30,6 @@ type t = {
           of date and findings would point at vanished code *)
 }
 
-(* lint: allow t3 — kept exported for symmetry with Driver.normalize and toplevel use *)
-val normalize : string -> string
-(** Drop empty/["."]/[".."] segments, as {!Driver.normalize}. *)
-
 val find_files : string -> string list
 (** Every [.cmt]/[.cmti] under the root, sorted; descends into dune's
     hidden object directories.  Directories named [*_fixtures] are

@@ -210,8 +210,8 @@ let t3 (cg : Callgraph.t) =
             message =
               Printf.sprintf
                 "%s is exported by the .mli but referenced by no other \
-                 compilation unit: narrow the interface, or keep it with \
-                 (* lint: allow t3 *) and a reason"
+                 compilation unit: narrow the interface (delete the value, \
+                 or drop it from the .mli if its own module uses it)"
                 (Callgraph.node_id ~unit_name:e.Callgraph.e_unit
                    e.Callgraph.e_name);
           })

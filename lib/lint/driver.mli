@@ -38,13 +38,6 @@ val paths_of_porcelain : string list -> string list
     untracked directories stay as one entry selecting their subtree.
     Sorted, deduplicated. *)
 
-(* lint: allow t3 — public walking primitive behind lint_roots; useful from the toplevel *)
-val collect : string list -> string list
-(** Every [*.ml] under the given files/directories, depth-first with
-    sorted directory entries (deterministic order); directories whose
-    name starts with ['.'] or ['_'], or ends with [_fixtures] (the test
-    suite's deliberately-dirty corpora), are skipped. *)
-
 val lint_roots : ?only:string list -> string list -> Rule.finding list
 (** Collect and lint; findings carry normalized paths and are sorted. *)
 

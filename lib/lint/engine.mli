@@ -14,21 +14,12 @@ type scope = Lib | Bin | Bench | Test
     under [lib/util]).  Unknown roots are treated as [Lib] — the
     strictest scope. *)
 
-(* lint: allow t3 — rule-predicate surface documented in DESIGN; kept for tooling *)
-val scope_of_file : string -> scope
-(** From the leading path segment after dropping ["."]/[".."]
-    components, so ["../lib/foo.ml"] and ["lib/foo.ml"] agree. *)
-
 val under_lib_util : string -> bool
 (** D1's exemption: the seeded PRNG internals under [lib/util]. *)
 
 val wall_clock_sanctioned : string -> bool
 (** D3's (and T2's) sanction: wall-clock reads are legitimate exactly in
     [bench/] and the blessed [lib/obs/clock.ml]. *)
-
-(* lint: allow t3 — rule-predicate surface documented in DESIGN; kept for tooling *)
-val domain_spawn_sanctioned : string -> bool
-(** D4's sanction: [lib/experiments/par_sweep.ml] only. *)
 
 val engine_library : string -> bool
 (** The engine libraries whose outputs must be bit-reproducible —
@@ -45,13 +36,8 @@ val lint_source : file:string -> string -> Rule.finding list
     fixtures.  Comment and attribute suppressions are honoured.
     Findings are sorted by {!Rule.compare_finding}. *)
 
-(* lint: allow t3 — rule-predicate surface documented in DESIGN; kept for tooling *)
-val p2_finding : file:string -> Rule.finding
-(** The finding P2 reports (at line 1) for a [lib/**/*.ml] with no
-    matching [.mli].  Existence checking lives in {!Driver}. *)
-
 val lint_file : ?display:string -> string -> Rule.finding list
 (** Read [path] from disk and lint it; [display] (default the path
     itself) is the name used in findings.  Adds the P2 check: a [Lib]
-    implementation with no sibling [.mli] on disk yields
-    {!p2_finding} unless line 1 carries a suppression. *)
+    implementation with no sibling [.mli] on disk yields a P2 finding
+    at line 1 unless that line carries a suppression. *)

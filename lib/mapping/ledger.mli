@@ -17,8 +17,7 @@
     accumulate across long edit sequences.
 
     Processor ids are ledger-assigned and stable; they are *not*
-    compacted when processors are removed.  {!to_alloc} maps live
-    processors, in increasing id order, to dense [Alloc] indices. *)
+    compacted when processors are removed. *)
 
 type t
 
@@ -110,7 +109,8 @@ val probe_merge : t -> winner:proc_id -> loser:proc_id -> probe
 
 val violations : t -> Check.violation list
 (** Complete violation list, equivalent to running {!Check.check} on
-    {!to_alloc} (processor indices are ledger ids).  O(live state), not
+    the live processors' allocation (processor indices are ledger
+    ids).  O(live state), not
     O(procs²). *)
 
 val violations_touching : t -> proc_id list -> Check.violation list
@@ -123,12 +123,8 @@ val violations_touching : t -> proc_id list -> Check.violation list
 val of_alloc : Insp_tree.App.t -> Insp_platform.Platform.t -> Alloc.t -> t
 (** Replays an allocation; processor ids coincide with [Alloc] indices. *)
 
-(* lint: allow t3 — documented bridge to the allocation view *)
-val to_alloc : t -> Alloc.t
-(** Live processors in increasing id order. *)
-
 val assert_consistent : t -> unit
-(** Cross-validates against the {!Check.check} oracle on {!to_alloc};
-    raises [Failure] with both violation lists rendered on divergence.
-    Intended for tests and debugging — it runs the full from-scratch
-    check. *)
+(** Cross-validates against the {!Check.check} oracle on the live
+    processors' allocation; raises [Failure] with both violation lists
+    rendered on divergence.  Intended for tests and debugging — it runs
+    the full from-scratch check. *)

@@ -4,10 +4,6 @@
     completion, so deterministic instrumented work yields deterministic
     recorded values; durations and timestamps are timing-only. *)
 
-(* lint: allow t3 — CSV schema kept documented next to the exporter *)
-val metrics_csv_header : string
-(** ["kind,name,value"]. *)
-
 val metrics_csv : Obs.t -> string
 (** One row per counter and gauge; histograms expand to one row per
     bucket ([name.le.EDGE], [name.overflow]) plus [name.count],
@@ -31,9 +27,6 @@ val prof_report : ?top:int -> Obs.t -> string
     cumulative words.  Keyed on minor words only, so the output is
     byte-identical across same-seed runs (DESIGN.md §17).  [""] when
     the sink carries no profiler. *)
-
-(* lint: allow t3 — CSV schema kept documented next to the exporter *)
-val prof_csv_header : string
 
 val prof_csv : Obs.t -> string
 (** Every profile row (first-enter order) with all five GC metrics,

@@ -41,7 +41,6 @@ type event =
   | Merge_groups of { winner : int; loser : int; upgrade : string option }
   | Reject_merge of { winner : int; loser : int; reject : reject }
   | Sell of { gid : int }
-  | Reconfig of { gid : int; config : string }
   | Download of {
       group : int;
       object_type : int;
@@ -123,8 +122,6 @@ let enable ?depth t =
   t.on <- true
 
 let set_manifest t m = t.manifest <- Some m
-
-let manifest t = t.manifest
 
 let record t ev =
   if t.on then begin
@@ -238,8 +235,6 @@ let event_to_json ev =
         ("reject", Jsonc.string (reject_label reject));
       ]
   | Sell { gid } -> tag "sell" [ ("gid", Jsonc.int gid) ]
-  | Reconfig { gid; config } ->
-    tag "reconfig" [ ("gid", Jsonc.int gid); ("config", Jsonc.string config) ]
   | Download { group; object_type; server; rule; candidates } ->
     tag "download"
       [
@@ -512,8 +507,7 @@ let explain ~proc evs =
           | Acquire { gid; _ }
           | Add_op { gid; _ }
           | Reject_add { gid; _ }
-          | Sell { gid }
-          | Reconfig { gid; _ } ->
+          | Sell { gid } ->
             tracked gid
           | Merge_groups { winner; loser; _ }
           | Reject_merge { winner; loser; _ } ->

@@ -38,7 +38,6 @@ type event =
   | Merge_groups of { winner : int; loser : int; upgrade : string option }
   | Reject_merge of { winner : int; loser : int; reject : reject }
   | Sell of { gid : int }
-  | Reconfig of { gid : int; config : string }
   | Download of {
       group : int;
       object_type : int;
@@ -129,9 +128,6 @@ val record_bounded : t -> category:string -> event -> unit
     first dropped event of a category records {!Truncated} instead. *)
 
 val set_manifest : t -> manifest -> unit
-
-(* lint: allow t3 — manifest accessor for external tooling over journal files *)
-val manifest : t -> manifest option
 
 val events : t -> event list
 (** In record order. *)

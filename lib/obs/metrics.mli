@@ -25,11 +25,6 @@ type t
 
 val create : unit -> t
 
-(* lint: allow t3 — documented default histogram edges *)
-val default_edges : float array
-(** Buckets used when [observe] is not given explicit edges:
-    1, 2, 5, 10, 20, 50, 100, 500 (plus overflow). *)
-
 val incr : ?by:int -> t -> string -> unit
 (** Bump a monotonic counter (created at 0). *)
 
@@ -42,9 +37,6 @@ val observe : ?edges:float array -> t -> string -> float -> unit
     and non-empty. *)
 
 val counter : t -> string -> int option
-(* lint: allow t3 — metrics API completeness (counter/gauge pair) *)
-val gauge : t -> string -> float option
-
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds every metric of [src] into [into], in
     [src]'s insertion order: counters add (registering at 0 if absent,

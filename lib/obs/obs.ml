@@ -30,7 +30,6 @@ let create ?(profile = false) () =
 let sink_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let install s = Domain.DLS.set sink_key (Some s)
-let uninstall () = Domain.DLS.set sink_key None
 let active () = Domain.DLS.get sink_key
 let enabled () = Option.is_some (active ())
 

@@ -27,16 +27,6 @@ val create : ?profile:bool -> unit -> t
 (** Fresh sink; the journal starts disabled (see {!with_sink}) and the
     allocation profiler is attached only when [~profile:true]. *)
 
-(* lint: allow t3 — recorder lifecycle API for embedders *)
-val install : t -> unit
-(** Make [t] the current domain's sink. *)
-
-(* lint: allow t3 — recorder lifecycle API for embedders *)
-val uninstall : unit -> unit
-
-(* lint: allow t3 — recorder lifecycle API for embedders *)
-val active : unit -> t option
-
 val enabled : unit -> bool
 
 val with_sink :

@@ -110,13 +110,7 @@ let create params =
   }
 
 let params t = t.params
-let platform t = t.platform
 let n_live t = Imap.cardinal t.live
-
-let account t tenant =
-  if tenant < 0 || tenant >= Array.length t.accounts then
-    invalid_arg "Serve.account: bad tenant";
-  t.accounts.(tenant)
 
 (* ------------------------------------------------------------------ *)
 (* Residual capacity                                                   *)

@@ -111,8 +111,6 @@ val crash : t -> procs_lost:int -> crash_outcome
     [Invalid_argument] on a negative [procs_lost]. *)
 
 val params : t -> params
-(* lint: allow t3 — service introspection accessor *)
-val platform : t -> Insp_platform.Platform.t
 val n_live : t -> int
 
 (** {1 Residual capacity}
@@ -134,9 +132,6 @@ val residual_procs : ?excluding:int -> t -> tenant:int -> int
 
 type reject_reason = R_placement | R_proc_budget | R_ledger
 
-(* lint: allow t3 — service introspection accessor *)
-val reject_label : reject_reason -> string
-
 type account = {
   mutable purchased : float;
   mutable refunded : float;
@@ -144,10 +139,6 @@ type account = {
   mutable rejected : int;
   mutable departed : int;
 }
-
-(* lint: allow t3 — service introspection accessor *)
-val account : t -> int -> account
-(** The tenant's running account (live view, mutated by {!handle}). *)
 
 type tenant_summary = {
   tenant : int;  (** -1 in {!totals} *)

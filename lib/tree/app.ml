@@ -48,7 +48,6 @@ let rho t = t.rho
 let n_operators t = Optree.n_operators t.tree
 let work t i = t.work.(i)
 let output_size t i = t.output.(i)
-let input_size t i = t.output.(i)
 let comm_volume t i = t.rho *. t.output.(i)
 let download_rate t k = Objects.rate t.objects k
 
@@ -69,11 +68,3 @@ let heaviest_operator t =
   let best = ref 0 in
   Array.iteri (fun i w -> if w > t.work.(!best) then best := i) t.work;
   !best
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>application: %d operators, alpha=%.2f, rho=%.2f@ "
-    (n_operators t) t.alpha t.rho;
-  Format.fprintf ppf "total work %.1f Mops, root output %.1f MB@ "
-    (total_work t) t.output.(0);
-  Optree.pp ppf t.tree;
-  Format.fprintf ppf "@]"

@@ -1,15 +1,13 @@
-let emit ?app tree =
+let of_app app =
+  let tree = App.tree app in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph operator_tree {\n";
   Buffer.add_string buf "  rankdir=BT;\n";
   let n = Optree.n_operators tree in
   for i = 0 to n - 1 do
     let label =
-      match app with
-      | None -> Printf.sprintf "n%d" i
-      | Some a ->
-        Printf.sprintf "n%d\\nw=%.1f\\nd=%.1f" i (App.work a i)
-          (App.output_size a i)
+      Printf.sprintf "n%d\\nw=%.1f\\nd=%.1f" i (App.work app i)
+        (App.output_size app i)
     in
     Buffer.add_string buf
       (Printf.sprintf "  n%d [shape=box, label=\"%s\"];\n" i label)
@@ -30,9 +28,6 @@ let emit ?app tree =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let of_tree tree = emit tree
-let of_app app = emit ~app (App.tree app)
 
 let save dot path =
   let oc = open_out path in

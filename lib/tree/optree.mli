@@ -47,9 +47,6 @@ val n_object_types : t -> int
 val root : t -> int
 (** Always [0]. *)
 
-(* lint: allow t3 — constructor completing the tree-building API *)
-val node : t -> int -> node
-
 val parent : t -> int -> int option
 
 val children : t -> int -> int list

@@ -49,10 +49,6 @@ val choose_list : t -> 'a list -> 'a
 (** [choose_list t l] picks a uniformly random element.  Requires a
     non-empty list. *)
 
-(* lint: allow t3 — seeded shuffle kept for workload generators *)
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
 val shuffle_list : t -> 'a list -> 'a list
 (** Returns a shuffled copy of the list. *)
 

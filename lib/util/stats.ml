@@ -88,10 +88,6 @@ let summarize samples =
     median = median samples;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g"
-    s.count s.mean s.stddev s.min s.median s.max
-
 let geometric_mean samples =
   nonempty "geometric_mean" samples;
   let log_sum =
@@ -102,7 +98,3 @@ let geometric_mean samples =
       0.0 samples
   in
   exp (log_sum /. float_of_int (List.length samples))
-
-let approx_eq ?(rel = 1e-9) ?(abs = 1e-12) a b =
-  let d = Float.abs (a -. b) in
-  d <= abs || d <= rel *. Float.max (Float.abs a) (Float.abs b)

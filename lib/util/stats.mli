@@ -50,17 +50,6 @@ val summarize : float list -> summary
 (** Requires a non-empty, NaN-free list (raises [Invalid_argument]
     otherwise). *)
 
-(* lint: allow t3 — debugging printer *)
-val pp_summary : Format.formatter -> summary -> unit
-
 val geometric_mean : float list -> float
 (** Requires a non-empty list of strictly positive samples; raises
     [Invalid_argument] otherwise. *)
-
-(* lint: allow t3 — float-comparison helper documented in DESIGN *)
-val approx_eq : ?rel:float -> ?abs:float -> float -> float -> bool
-(** Tolerant float equality:
-    [|a - b| <= max (abs, rel * max |a| |b|)] with [rel = 1e-9] and
-    [abs = 1e-12] by default — the tolerance regime of the feasibility
-    checker (DESIGN.md §8).  This is the helper lint rule F1 points to
-    instead of [=]/[<>]/polymorphic [compare] on float data. *)

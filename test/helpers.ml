@@ -44,10 +44,10 @@ let instance ?(n = 30) ?(alpha = 0.9) ?(sizes = Insp.Config.Small) ~seed () =
 let instance_case =
   QCheck.(triple (int_range 0 2000) (int_range 0 3) (int_range 0 3))
 
-let instance_of_case (seed, n_idx, a_idx) =
+let instance_of_case ?sizes (seed, n_idx, a_idx) =
   let n = [| 5; 10; 20; 35 |].(n_idx) in
   let alpha = [| 0.7; 0.9; 1.2; 1.5 |].(a_idx) in
-  instance ~n ~alpha ~seed ()
+  instance ~n ~alpha ?sizes ~seed ()
 
 let small_instance_gen =
   QCheck.map instance_of_case instance_case

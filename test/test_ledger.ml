@@ -1,7 +1,9 @@
 (* Tests for the incremental demand/feasibility ledger.  The heart is
    the randomized consistency test: after *every* edit of a random edit
    sequence, [Ledger.assert_consistent] cross-validates the incremental
-   state against the from-scratch [Check.check] oracle. *)
+   state against the from-scratch [Check.check] oracle.  A second
+   property checks the probe verdicts themselves against a from-scratch
+   prober over a greedy first-fit construction. *)
 
 module App = Insp.App
 module Alloc = Insp.Alloc
@@ -212,6 +214,100 @@ let ledger_matches_oracle =
        with Failure msg -> QCheck.Test.fail_report msg);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Probe verdicts vs the pre-ledger from-scratch prober                *)
+
+(* Recomputes [Demand.of_group] over the candidate member set and the
+   pairwise flow towards every other live group with [List.mem]
+   membership scans, as the solver did before the ledger. *)
+let from_scratch_fits app platform groups ~self ~cfg ~members =
+  let tree = App.tree app and rho = App.rho app in
+  let flow h =
+    List.fold_left
+      (fun acc m ->
+        let acc =
+          List.fold_left
+            (fun acc c ->
+              if List.mem c h then acc +. (rho *. App.output_size app c)
+              else acc)
+            acc (Insp.Optree.children tree m)
+        in
+        match Insp.Optree.parent tree m with
+        | Some p when List.mem p h -> acc +. (rho *. App.output_size app m)
+        | Some _ | None -> acc)
+      0.0 members
+  in
+  let leq v cap = v <= (cap *. (1.0 +. 1e-9)) +. 1e-9 in
+  Demand.fits cfg (Demand.of_group app members)
+  && List.for_all
+       (fun (gid, h) -> gid = self || leq (flow h) platform.Platform.proc_link)
+       groups
+
+(* Greedy first fit in operator-id order: each operator is probed
+   against every live group through [Builder.try_add], else gets a new
+   most-expensive processor.  Every ledger verdict must equal the
+   from-scratch one; returns the first disagreement, if any. *)
+let first_fit_divergence inst =
+  let app = inst.Insp.Instance.app and platform = inst.Insp.Instance.platform in
+  let best = Catalog.best platform.Platform.catalog in
+  let b = Insp.Builder.create app platform in
+  let divergence = ref None in
+  let agree what ~ledger ~scratch =
+    if ledger <> scratch && !divergence = None then
+      divergence :=
+        Some
+          (Printf.sprintf "%s: ledger %b, from scratch %b" what ledger scratch);
+    ledger
+  in
+  for i = 0 to App.n_operators app - 1 do
+    let groups =
+      List.map
+        (fun gid -> (gid, Insp.Builder.members b gid))
+        (Insp.Builder.group_ids b)
+    in
+    let placed =
+      List.exists
+        (fun (gid, members) ->
+          let scratch =
+            from_scratch_fits app platform groups ~self:gid
+              ~cfg:(Insp.Builder.config b gid) ~members:(i :: members)
+          in
+          agree
+            (Printf.sprintf "operator %d into group %d" i gid)
+            ~ledger:(Insp.Builder.try_add b gid i) ~scratch)
+        groups
+    in
+    if not placed then
+      ignore
+        (agree
+           (Printf.sprintf "operator %d on a new processor" i)
+           ~ledger:
+             (Result.is_ok (Insp.Builder.acquire b ~config:best ~members:[ i ]))
+           ~scratch:
+             (from_scratch_fits app platform groups ~self:(-1) ~cfg:best
+                ~members:[ i ]))
+  done;
+  !divergence
+
+let test_first_fit_reference_instance () =
+  let inst =
+    Insp.Instance.generate
+      (Insp.Config.make ~n_operators:100 ~alpha:0.9 ~seed:1 ())
+  in
+  Alcotest.(check (option string))
+    "no divergence" None (first_fit_divergence inst)
+
+(* Large objects make the processor-link check bind; with small ones
+   only the compute/NIC side ever rejects. *)
+let first_fit_matches_from_scratch =
+  qtest ~count:100 "first-fit probe verdicts match the from-scratch prober"
+    QCheck.(pair Helpers.instance_case bool)
+    (fun (case, large) ->
+      let sizes = if large then Insp.Config.Large else Insp.Config.Small in
+      match first_fit_divergence (Helpers.instance_of_case ~sizes case) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 let () =
   Alcotest.run "ledger"
     [
@@ -228,4 +324,10 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge_consistent;
         ] );
       ("random", [ ledger_matches_oracle ]);
+      ( "from-scratch",
+        [
+          Alcotest.test_case "first fit, N=100 reference instance" `Quick
+            test_first_fit_reference_instance;
+          first_fit_matches_from_scratch;
+        ] );
     ]

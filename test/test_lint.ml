@@ -755,8 +755,9 @@ let test_t3_positive_and_suppressed () =
   check_reports "only the genuinely dead, unsuppressed export is flagged"
     [
       "lib/util/dead.mli:2:0: [T3] Dead.unused is exported by the .mli but \
-       referenced by no other compilation unit: narrow the interface, or \
-       keep it with (* lint: allow t3 *) and a reason";
+       referenced by no other compilation unit: narrow the interface \
+       (delete the value, or drop it from the .mli if its own module uses \
+       it)";
     ]
     (deep_reports "t3_dead"
        [
@@ -955,6 +956,51 @@ let test_repo_deep_clean () =
     check_reports "repo typedtrees are deep-clean (modulo baseline)" []
       (List.map render (Driver.apply_baseline ~keys findings))
 
+(* A dead export in lib is deleted or put to use, never suppressed: no
+   lib interface may carry a T3 allow, in comment or attribute form. *)
+let test_no_t3_suppressions_in_lib () =
+  let rec mlis dir =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun name ->
+           let path = Filename.concat dir name in
+           if Sys.is_directory path then mlis path
+           else if Filename.check_suffix name ".mli" then [ path ]
+           else [])
+  in
+  let files = if Sys.file_exists "../lib" then mlis "../lib" else [] in
+  Alcotest.(check bool) "lib interfaces visible" true (files <> []);
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  (* an attribute is the text from '[' up to the next ']' *)
+  let t3_attribute src =
+    String.split_on_char '[' (String.lowercase_ascii src)
+    |> List.exists (fun chunk ->
+           let attr =
+             match String.index_opt chunk ']' with
+             | Some k -> String.sub chunk 0 k
+             | None -> chunk
+           in
+           contains attr "lint.allow" && contains attr "t3")
+  in
+  let offenders =
+    List.filter
+      (fun file ->
+        let src = In_channel.with_open_text file In_channel.input_all in
+        let directives = Insp_lint.Suppress.scan src in
+        let n_lines = List.length (String.split_on_char '\n' src) in
+        List.exists
+          (fun line -> Insp_lint.Suppress.allows directives ~line Rule.T3)
+          (List.init n_lines (fun i -> i + 1))
+        || t3_attribute src)
+      files
+  in
+  check_reports "no lib interface suppresses T3" [] offenders
+
 (* The shipped baseline must stay empty for lib/mapping and
    lib/heuristics: those directories pass with no baseline at all. *)
 let test_mapping_heuristics_clean_without_baseline () =
@@ -1084,5 +1130,7 @@ let () =
             test_repo_deep_clean;
           Alcotest.test_case "mapping+heuristics need no baseline" `Quick
             test_mapping_heuristics_clean_without_baseline;
+          Alcotest.test_case "no T3 suppressions in lib" `Quick
+            test_no_t3_suppressions_in_lib;
         ] );
     ]

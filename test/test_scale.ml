@@ -1,9 +1,10 @@
 (* 100k-operator scale machinery (DESIGN.md §16):
 
    - the candidate-queue Comp-Greedy and the probe-cache Comm-Greedy
-     must commit byte-identical solutions to their legacy
-     scan-everything twins on a batch of random small/mid instances
-     (the queues may only skip probes that were certain to fail);
+     must commit byte-identical solutions to the scan-everything
+     reference forms in oracles.ml on a batch of random small/mid
+     instances (the queues may only skip probes that were certain to
+     fail);
    - the arena id discipline (dense ids, never reused, generation
      stamps) that the lazy-deletion queues rely on;
    - the lazy-deletion heap itself: a stale candidate can never win a
@@ -11,8 +12,6 @@
    - the typed generator errors for operator counts the platform
      catalog cannot host. *)
 
-module H_comp = Insp_heuristics.H_comp_greedy
-module H_comm = Insp_heuristics.H_comm_greedy
 module Cand_queue = Insp_heuristics.Cand_queue
 
 (* ------------------------------------------------------------------ *)
@@ -28,10 +27,13 @@ let render_outcome = function
       (Format.asprintf "%a" Insp.Alloc.pp o.Insp.Solve.alloc)
   | Error f -> "fail " ^ Insp.Solve.failure_message f
 
-let solve key inst =
+(* The registered heuristic [key], or its placement step replaced by
+   [run]; every other pipeline stage is the same. *)
+let solve ?run key inst =
   match Insp.Solve.find key with
   | None -> Alcotest.failf "unknown heuristic %s" key
   | Some h ->
+    let h = match run with None -> h | Some run -> { h with Insp.Solve.run } in
     render_outcome
       (Insp.Solve.run ~seed:1 h inst.Insp.Instance.app
          inst.Insp.Instance.platform)
@@ -53,8 +55,8 @@ let instance_of_case idx =
 let test_comp_queue_equivalence () =
   for idx = 0 to 199 do
     let inst = instance_of_case idx in
-    let queue = H_comp.with_candidate_queue true (fun () -> solve "comp" inst) in
-    let scan = H_comp.with_candidate_queue false (fun () -> solve "comp" inst) in
+    let queue = solve "comp" inst in
+    let scan = solve ~run:Oracles.comp_greedy_scan "comp" inst in
     Alcotest.(check string)
       (Printf.sprintf "case %d: queue and scan Comp-Greedy agree" idx)
       scan queue
@@ -63,8 +65,8 @@ let test_comp_queue_equivalence () =
 let test_comm_cache_equivalence () =
   for idx = 0 to 199 do
     let inst = instance_of_case idx in
-    let cached = H_comm.with_probe_cache true (fun () -> solve "comm" inst) in
-    let fresh = H_comm.with_probe_cache false (fun () -> solve "comm" inst) in
+    let cached = solve "comm" inst in
+    let fresh = solve ~run:Oracles.comm_greedy_uncached "comm" inst in
     Alcotest.(check string)
       (Printf.sprintf "case %d: cached and fresh Comm-Greedy agree" idx)
       fresh cached
