@@ -335,6 +335,70 @@ let test_ablation_tables_golden () =
   in
   Alcotest.(check string) "tables match test/ablations.golden" golden tables
 
+(* The knobs are per-call arguments: a run with a non-default value,
+   or one that raises, must leave the next default run unchanged. *)
+let test_collapse_rounds_scoped () =
+  let inst = Helpers.instance ~n:100 ~alpha:0.9 ~seed:1 () in
+  let sbu = List.find (fun h -> h.Solve.key = "sbu") Solve.all in
+  let run h =
+    Solve.run ~seed:1 h inst.Insp.Instance.app inst.Insp.Instance.platform
+  in
+  let with_rounds rounds =
+    {
+      sbu with
+      Solve.run = Insp_heuristics.H_subtree.run ~grouping_rounds:rounds;
+    }
+  in
+  let with_default = run sbu in
+  let with_one = run (with_rounds 1) in
+  (try ignore (run (with_rounds 0)) with Invalid_argument _ -> ());
+  let again = run sbu in
+  (* Default must do at least as well as the single-round variant. *)
+  (match (with_default, with_one) with
+  | Ok a, Ok b ->
+    Alcotest.(check bool) "default no worse" true
+      (a.Solve.cost <= b.Solve.cost +. 1e-6)
+  | Ok _, Error _ -> () (* single round failed where default succeeded *)
+  | Error _, Ok _ -> Alcotest.fail "default failed where 1 round succeeded"
+  | Error _, Error _ -> ());
+  match (with_default, again) with
+  | Ok a, Ok c ->
+    Helpers.alco_float "default unchanged (same cost again)" a.Solve.cost
+      c.Solve.cost
+  | Error _, Error _ -> ()
+  | _ -> Alcotest.fail "default run changed after a 1-round run"
+
+let test_merge_sweeps_scoped () =
+  let comm = List.find (fun h -> h.Solve.key = "comm") Solve.all in
+  let inst =
+    Insp.Instance.generate
+      (Insp.Config.make ~n_operators:30 ~alpha:0.9 ~sizes:Insp.Config.Large
+         ~seed:1 ())
+  in
+  let run h =
+    Solve.run ~seed:1 h inst.Insp.Instance.app inst.Insp.Instance.platform
+  in
+  let with_sweeps = run comm in
+  let without =
+    run
+      {
+        comm with
+        Solve.run = Insp_heuristics.H_comm_greedy.run ~merge_sweeps:false;
+      }
+  in
+  let again = run comm in
+  (match (with_sweeps, without) with
+  | Ok a, Ok b ->
+    Alcotest.(check bool) "sweeps never hurt" true
+      (a.Solve.cost <= b.Solve.cost +. 1e-6)
+  | _ -> ());
+  match (with_sweeps, again) with
+  | Ok a, Ok c ->
+    Helpers.alco_float "default unchanged (same cost again)" a.Solve.cost
+      c.Solve.cost
+  | Error _, Error _ -> ()
+  | _ -> Alcotest.fail "default run changed after a no-sweeps run"
+
 let test_grouping_rounds_rejects_zero () =
   let inst = Helpers.instance ~n:20 ~alpha:0.9 ~seed:1 () in
   Alcotest.check_raises "grouping_rounds:0"
@@ -388,6 +452,10 @@ let () =
         [
           Alcotest.test_case "tables golden" `Quick
             test_ablation_tables_golden;
+          Alcotest.test_case "collapse rounds scoped" `Quick
+            test_collapse_rounds_scoped;
+          Alcotest.test_case "merge sweeps scoped" `Quick
+            test_merge_sweeps_scoped;
           Alcotest.test_case "grouping rounds rejects 0" `Quick
             test_grouping_rounds_rejects_zero;
         ] );

@@ -324,7 +324,7 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge_consistent;
         ] );
       ("random", [ ledger_matches_oracle ]);
-      ( "from-scratch",
+      ( "probe",
         [
           Alcotest.test_case "first fit, N=100 reference instance" `Quick
             test_first_fit_reference_instance;
